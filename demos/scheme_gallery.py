@@ -8,7 +8,7 @@ Gaussian message by a different route:
   la   damped diagonal Newton to the tilted mode, Taylor fit there
   qla  Taylor fit at the cavity mean, no inner optimization
   gq   precision-3 sigma-point moment matching, then divide out the cavity
-  vq   convex surrogate fit of the log-factor in standardized coordinates
+  vq   log-space interpolation of the factor at the same sigma points
 
 A dense 1-D grid supplies ground-truth moments of cavity x factor so the
 schemes can be judged by the posterior mean and variance they imply.

@@ -199,7 +199,6 @@ class RunConfig:
     mode: str = "looping"
     beta: float = 1.0
     prior: PriorFactor = field(default_factory=PriorFactor)
-    seed: int | None = None
     cost_every: int = 1
     timing_repetitions: int = 3
     with_references: bool = True
@@ -296,7 +295,6 @@ def run_experiment(config: RunConfig) -> dict:
             "mode": config.mode,
             "beta": config.beta,
             "prior_variance": config.prior.variance,
-            "seed": config.seed,
             "timing_repetitions": config.timing_repetitions,
         },
         "references": {},
@@ -326,7 +324,6 @@ def run_experiment(config: RunConfig) -> dict:
                     n_sweeps=config.n_sweeps,
                     mode=config.mode,
                     prior=config.prior,
-                    seed=config.seed,
                     cost_every=config.cost_every,
                 )
                 per_batch_ms = []

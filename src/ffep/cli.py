@@ -8,7 +8,7 @@ Subcommands:
 
 Run configs are JSON; every field has a default aimed at the bundled
 synthetic dataset, and the flags --scheme, --loss, --batch-size, --sweeps,
---mode, --seed and --out override the file.  Exit codes: 0 success, 1 usage
+--mode and --out override the file.  Exit codes: 0 success, 1 usage
 error, 2 data error, 3 at least one run failed.
 """
 
@@ -20,13 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import (
-    RunConfig,
-    reference_newton_logistic,
-    reference_powell,
-    run_experiment,
-    total_cost,
-)
+from .bench import RunConfig, _compute_references, run_experiment
 from .factors import PriorFactor
 from .ingest import (
     ColumnSchema,
@@ -54,7 +48,6 @@ _DEFAULTS = {
     "mode": "looping",
     "beta": 1.0,
     "prior_variance": 25.0,
-    "seed": None,
     "out": "results",
     "timing_repetitions": 3,
     "cost_every": 1,
@@ -84,7 +77,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="JSON run-config file")
         p.add_argument("--loss", action="append",
                        help="loss name (repeatable or comma-separated)")
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory")
 
     run = sub.add_parser("run", help="execute an experiment config")
@@ -159,8 +151,6 @@ def _merged_settings(args, cfg: dict) -> dict:
         settings["sweeps"] = args.sweeps
     if getattr(args, "mode", None):
         settings["mode"] = args.mode
-    if args.seed is not None:
-        settings["seed"] = args.seed
     if args.out:
         settings["out"] = args.out
     return settings
@@ -188,7 +178,6 @@ def _build_run_config(args) -> RunConfig:
             mode=s["mode"],
             beta=float(s["beta"]),
             prior=PriorFactor(variance=float(s["prior_variance"])),
-            seed=s["seed"],
             cost_every=int(s["cost_every"]),
             timing_repetitions=int(s["timing_repetitions"]),
             with_references=bool(s["references"]),
@@ -226,23 +215,9 @@ def _cmd_reference(args) -> int:
     dataset = preprocess(load_csv(path, schema), name=name)
     prior = PriorFactor(variance=float(s["prior_variance"]))
     losses = [loss_from_name(n, epsilon=s["epsilon"]) for n in s["losses"]]
-
-    theta_log = reference_newton_logistic(dataset, prior)
-    refs = {}
-    for loss in losses:
-        if loss.name == "logistic":
-            theta, converged = theta_log, True
-        else:
-            result = reference_powell(dataset, loss, theta_log, prior)
-            theta, converged = result.theta, result.converged
-        refs[loss.name] = {
-            "theta": [float(v) for v in theta],
-            "cost": total_cost(theta, dataset, loss),
-            "cost_with_prior": total_cost(theta, dataset, loss, prior),
-            "converged": converged,
-        }
-        print(f"{loss.name:>8s}  cost={refs[loss.name]['cost']:.6f}  "
-              f"converged={converged}")
+    refs = _compute_references(dataset, losses, prior)
+    for loss_name, ref in refs.items():
+        print(f"{loss_name:>8s}  cost={ref['cost']:.6f}  converged={ref['converged']}")
     out = Path(s["out"])
     out.mkdir(parents=True, exist_ok=True)
     target = out / "references.json"

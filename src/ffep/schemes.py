@@ -15,10 +15,10 @@ DiagGaussian message g standing in for f.
             Gaussian to them, and divide the cavity back out.
 * ``vq``  - variational quadrature: minimize a quadrature discretization of
             the generalized KL divergence D(c*f || c*g) over the natural
-            parameters of g, by Newton with Cholesky solves.  Exact whenever
-            f itself is a factorized Gaussian, using the same 2d+1 factor
-            evaluations as ``gq``, and it outputs the message directly with
-            no cavity division.
+            parameters of g.  The minimizer is in closed form: log-space
+            interpolation of f at the 2d+1 sigma points ``gq`` also uses.
+            Exact whenever f itself is a factorized Gaussian, and it outputs
+            the message directly with no cavity division.
 
 Messages may legitimately come out improper (nonnegative theta^2
 coefficient); admissibility is the EP engine's call, not ours.  Failures to
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .gaussian import (
     DiagGaussian,
@@ -59,8 +58,6 @@ __all__ = [
     "approximate",
 ]
 
-# exponents above this are treated as overflow-bound and force step damping
-_EXP_GUARD = 500.0
 _MAX_HALVINGS = 30
 
 
@@ -74,7 +71,11 @@ class SchemeFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SchemeKind:
-    """Scheme selector plus the numeric knobs shared by the back-ends."""
+    """Scheme selector plus the numeric knobs of the back-ends.
+
+    ``newton_tol`` and ``newton_max_iter`` drive ``la``'s inner Newton
+    search; ``gamma`` sets the sigma-point spread of ``gq`` and ``vq``.
+    """
 
     kind: str
     newton_tol: float = 1e-5
@@ -303,8 +304,9 @@ def surrogate_value_grad_hess(alpha: np.ndarray, rule: QuadratureRule, F: np.nda
         grad      = Phi^T (w exp(Phi alpha)) - Phi^T (w F)
         hess      = Phi^T diag(w exp(Phi alpha)) Phi
 
-    Exponents beyond ~709 overflow to inf; callers damp their steps to stay
-    below that (the Newton loop here uses a 500 guard).
+    approx_variational_quadrature returns the stationary point in closed
+    form; this function is the oracle that checks it.  Exponents beyond
+    ~709 overflow to inf.
     """
     phi = _monomials(rule.points)
     alpha = np.asarray(alpha, dtype=float)
@@ -318,76 +320,41 @@ def surrogate_value_grad_hess(alpha: np.ndarray, rule: QuadratureRule, F: np.nda
     return value, grad, hess
 
 
-def _fit_surrogate(phi: np.ndarray, w: np.ndarray, F: np.ndarray,
-                   tol: float, max_iter: int):
-    """Newton minimization of the convex surrogate; returns (alpha, info).
-
-    ``phi`` is the design matrix in whatever coordinates the caller chose;
-    exactness and the iterate path are unaffected by affine reparametrization.
-    """
-    b = phi.T @ (w * F)
-    if not b[0] > 0:
-        raise SchemeFailure("nonpositive quadrature mass; cannot fit a surrogate")
-    alpha = np.zeros(phi.shape[1])
-    alpha[0] = np.log(b[0])
-    info = {"n_iter": 0, "grad_inf": np.inf, "data_scale": float(np.max(np.abs(b)))}
-    for it in range(max_iter):
-        e = np.exp(phi @ alpha)
-        we = w * e
-        grad = phi.T @ we - b
-        hess = phi.T @ (we[:, None] * phi)
-        try:
-            cho = scipy.linalg.cho_factor(hess, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise SchemeFailure(f"surrogate Hessian not positive definite: {exc}") from exc
-        step = scipy.linalg.cho_solve(cho, -grad)
-        if not np.all(np.isfinite(step)):
-            raise SchemeFailure("non-finite Newton step in surrogate fit")
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):
-            if np.max(phi @ (alpha + t * step)) <= _EXP_GUARD:
-                break
-            t *= 0.5
-        else:
-            raise SchemeFailure("surrogate exponent overflow despite step damping")
-        alpha = alpha + t * step
-        info["n_iter"] = it + 1
-        # relative per coordinate, so a large constant term cannot mask
-        # still-moving curvature coordinates
-        if np.all(np.abs(t * step) <= tol * np.maximum(1.0, np.abs(alpha))):
-            info["grad_inf"] = float(np.max(np.abs(phi.T @ (w * np.exp(phi @ alpha)) - b)))
-            return alpha, info
-    raise SchemeFailure("surrogate Newton did not converge")
-
-
 def approx_variational_quadrature(cavity: DiagGaussian, factor,
                                   scheme: SchemeKind | None = None) -> DiagGaussian:
-    """Minimize the discretized generalized KL over Gaussian natural parameters.
+    """Interpolate the log-factor in log space at the sigma points.
 
-    The fit runs in cavity-standardized coordinates z = (theta - mu)/sigma
-    (an exact affine reparametrization that keeps the Newton system well
-    conditioned) and is mapped back afterwards; the max-shift of the factor
-    values is restored into the constant coordinate.  The result is the
-    message itself; no cavity division is involved.
+    The rule has 2d+1 points and the quadrature-discretized generalized KL
+    surrogate (surrogate_value_grad_hess) 2d+1 monomials, so the design
+    matrix is square and invertible and the surrogate is stationary exactly
+    where exp(Phi alpha) equals the factor values: the log-quadratic through
+    the center and the two spokes of every axis.  With positive weights that
+    point is the surrogate's minimizer.  In cavity-standardized coordinates
+    z = (theta - mu)/sigma, with l the max-shifted log-factor values, that
+    is c0 = l_0, b_i = (l_+i - l_-i)/(2 gamma) and
+    a_i = (l_+i + l_-i - 2 l_0)/(2 gamma^2), mapped back to theta afterwards.
+
+    The message does not depend on the quadrature weights, so a gamma with
+    gamma^2 = d (zero center weight, where the stationary point is no
+    longer unique) or gamma^2 < d (negative center weight) needs no
+    rejection.  The result is the message itself; no cavity division is
+    involved.
     """
     scheme = scheme or SchemeKind("vq")
     rule = build_rule(cavity, scheme.gamma)
-    d = rule.dim
+    d, gamma = rule.dim, rule.gamma
     logf = _log_values(factor, rule.points)
     shift = float(np.max(logf))
     if not np.isfinite(shift):
         raise SchemeFailure("factor vanishes (or is undefined) at every quadrature point")
-    F = np.exp(logf - shift)
+    shifted = logf - shift
+    c0, lp, lm = shifted[0], shifted[1 : d + 1], shifted[d + 1 :]
+    bz = (lp - lm) / (2.0 * gamma)
+    az = (lp + lm - 2.0 * c0) / (2.0 * gamma * gamma)
 
     mu = cavity.mean
     sigma = np.sqrt(cavity.variance)
-    z = (rule.points - mu) / sigma
-    alpha_z, _ = _fit_surrogate(
-        _monomials(z), rule.weights, F, scheme.newton_tol, scheme.newton_max_iter
-    )
-
-    # unpack log g = c0 + b.z + a.z^2 and substitute z = (theta - mu)/sigma
-    c0, bz, az = alpha_z[0], alpha_z[1 : d + 1], alpha_z[d + 1 :]
+    # substitute z = (theta - mu)/sigma into log g = c0 + b.z + a.z^2
     nhp = az / sigma**2
     linear = bz / sigma - 2.0 * az * mu / sigma**2
     log_scale = shift + c0 - float(np.sum(bz * mu / sigma)) + float(np.sum(az * mu**2 / sigma**2))

@@ -53,10 +53,7 @@ def random_gaussian_factor(rng, cavity):
 
     Offsets within one cavity standard deviation and variance ratios in
     e^(+/-0.5) keep the log-factor span across the sigma points below ~25.
-    Past ~30 the smallest stabilized factor values fall under the double
-    precision noise floor of the surrogate fit and the exact-interpolation
-    property degrades, so wider factors exercise failure handling rather
-    than recovery.
+    Spans past 60 are exercised on a data batch in TestVariationalQuadrature.
     """
     sd = np.sqrt(cavity.variance)
     mean = cavity.mean + rng.uniform(-1.0, 1.0, size=cavity.dim) * sd
@@ -401,6 +398,55 @@ class TestVariationalQuadrature:
                               center=-1.0, halfwidth=4.0),
         }
         assert kl["vq"] < 0.05 * kl["gq"]
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("gamma_sq_over_d", [1.0, 0.5])
+    def test_recovers_gaussian_factor_at_zero_or_negative_center_weight(
+            self, d, gamma_sq_over_d):
+        """The message does not depend on the weights, so gamma^2 = d (zero
+        center weight) and gamma^2 < d (negative) still interpolate exactly."""
+        rng = np.random.default_rng(61 + d)
+        scheme = SchemeKind(kind="vq", gamma=float(np.sqrt(gamma_sq_over_d * d)))
+        for _ in range(10):
+            cavity = random_cavity(rng, d)
+            factor = random_gaussian_factor(rng, cavity)
+            msg = approx_variational_quadrature(cavity, factor, scheme)
+            np.testing.assert_allclose(msg.linear, factor.g.linear,
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(msg.neg_half_precision,
+                                       factor.g.neg_half_precision,
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(msg.log_scale, factor.g.log_scale,
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("loss", [logistic(), hinge()], ids=lambda l: l.name)
+    def test_wide_log_span_batch_gives_stationary_message(self, synthetic_dataset, loss):
+        """Under the N(0, 25 I) prior as cavity, a ten-example batch spans
+        over 60 log units across the sigma points; the message is still the
+        surrogate's stationary point in cavity-standardized coordinates."""
+        d = synthetic_dataset.dim
+        cavity = DiagGaussian.from_mean_var(np.zeros(d), np.full(d, 25.0))
+        factor = bind(MiniBatchFactor(batch=list(range(10)), loss=loss),
+                      synthetic_dataset)
+        msg = approx_variational_quadrature(cavity, factor)
+        assert msg.is_finite()
+
+        rule = build_rule(cavity)
+        logf = factor.log_value_many(rule.points)
+        assert np.ptp(logf) > 60.0
+        shift = float(np.max(logf))
+        sigma = np.sqrt(cavity.variance)
+        z = rule.points / sigma  # the cavity mean is zero
+        zrule = QuadratureRule(points=z, weights=rule.weights, gamma=rule.gamma)
+        F = np.exp(logf - shift)
+        # log g - shift = c0 + b.z + a.z^2 with b = sigma*linear, a = sigma^2*nhp
+        alpha = np.concatenate([[msg.log_scale - shift],
+                                sigma * msg.linear,
+                                sigma**2 * msg.neg_half_precision])
+        phi = np.hstack([np.ones((len(z), 1)), z, z * z])
+        data_scale = float(np.max(np.abs(phi.T @ (rule.weights * F))))
+        _, grad, _ = surrogate_value_grad_hess(alpha, zrule, F)
+        assert np.max(np.abs(grad)) <= 1e-10 * data_scale
 
     def test_vanishing_factor_raises_scheme_failure(self):
         class ZeroFactor:
