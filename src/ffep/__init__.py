@@ -33,8 +33,6 @@ from .factors import (
     MiniBatchFactor,
     PriorFactor,
     bind,
-    log_factor,
-    log_factor_grad_hessdiag,
     prior_as_message,
 )
 from .gaussian import (
@@ -80,7 +78,6 @@ from .schemes import (
     build_rule,
     default_gamma,
     generalized_kl_diagnostic,
-    quadrature_moments,
     scheme_from_name,
     surrogate_value_grad_hess,
 )
@@ -118,15 +115,12 @@ __all__ = [
     "GaussianFactor",
     "bind",
     "prior_as_message",
-    "log_factor",
-    "log_factor_grad_hessdiag",
     "SchemeKind",
     "SchemeFailure",
     "QuadratureRule",
     "scheme_from_name",
     "build_rule",
     "default_gamma",
-    "quadrature_moments",
     "approx_laplace",
     "approx_quick_laplace",
     "approx_gauss_quadrature",

@@ -165,19 +165,15 @@ def _blend(old: DiagGaussian, new: DiagGaussian, damping: float) -> DiagGaussian
 
 
 def _check_product(state: EpState, prior_msg: DiagGaussian):
-    total = prior_msg
-    for msg in state.messages:
-        total = multiply(total, msg)
+    msgs = state.messages
+    linear = prior_msg.linear + np.sum([m.linear for m in msgs], axis=0)
+    nhp = prior_msg.neg_half_precision + np.sum([m.neg_half_precision for m in msgs], axis=0)
+    log_scale = prior_msg.log_scale + sum(m.log_scale for m in msgs)
     g = state.global_approx
     ok = (
-        np.allclose(g.linear, total.linear, rtol=_PRODUCT_TOL, atol=_PRODUCT_TOL)
-        and np.allclose(
-            g.neg_half_precision,
-            total.neg_half_precision,
-            rtol=_PRODUCT_TOL,
-            atol=_PRODUCT_TOL,
-        )
-        and np.isclose(g.log_scale, total.log_scale, rtol=_PRODUCT_TOL, atol=_PRODUCT_TOL)
+        np.allclose(g.linear, linear, rtol=_PRODUCT_TOL, atol=_PRODUCT_TOL)
+        and np.allclose(g.neg_half_precision, nhp, rtol=_PRODUCT_TOL, atol=_PRODUCT_TOL)
+        and np.isclose(g.log_scale, log_scale, rtol=_PRODUCT_TOL, atol=_PRODUCT_TOL)
     )
     if not ok:
         raise RuntimeError(

@@ -28,8 +28,6 @@ __all__ = [
     "PriorFactor",
     "BoundFactor",
     "GaussianFactor",
-    "log_factor",
-    "log_factor_grad_hessdiag",
     "prior_as_message",
     "bind",
 ]
@@ -135,12 +133,3 @@ class GaussianFactor:
 def bind(factor: MiniBatchFactor, dataset) -> BoundFactor:
     return BoundFactor(factor, dataset)
 
-
-def log_factor(factor: MiniBatchFactor, dataset, theta) -> float:
-    """-beta * (summed batch loss) at theta; never exponentiated here."""
-    return bind(factor, dataset).log_value(np.asarray(theta, dtype=float))
-
-
-def log_factor_grad_hessdiag(factor: MiniBatchFactor, dataset, theta):
-    """Gradient and Hessian diagonal of the log-factor at theta."""
-    return bind(factor, dataset).log_grad_hessdiag(np.asarray(theta, dtype=float))

@@ -48,7 +48,6 @@ __all__ = [
     "scheme_from_name",
     "build_rule",
     "default_gamma",
-    "quadrature_moments",
     "approx_laplace",
     "approx_quick_laplace",
     "approx_gauss_quadrature",
@@ -59,6 +58,8 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 30
+# step lengths tried after a rejected full Newton step: 2^-1, ..., 2^-(_MAX_HALVINGS-1)
+_HALVINGS = 0.5 ** np.arange(1, _MAX_HALVINGS)
 
 
 class SchemeFailure(RuntimeError):
@@ -167,8 +168,11 @@ def approx_laplace(cavity: DiagGaussian, factor, scheme: SchemeKind | None = Non
 
     The inner maximization is damped Newton on the diagonal curvature of
     log(c*f) (the cavity precision plus the factor's Hessian diagonal),
-    starting from the cavity mean, with step halving until the objective
-    stops decreasing.
+    starting from the cavity mean.  Each iteration tries the full Newton
+    step first; if that lowers the objective, the halved steps 2^-1 ...
+    2^-(_MAX_HALVINGS-1) are scored in one batched call and the longest
+    one that does not lower it is taken.  When none qualifies, no ascent
+    is left along the Newton direction and the search has converged.
     """
     scheme = scheme or SchemeKind("la")
     if not cavity.is_proper:
@@ -190,17 +194,18 @@ def approx_laplace(cavity: DiagGaussian, factor, scheme: SchemeKind | None = Non
         if not np.all(np.isfinite(step)):
             raise SchemeFailure("non-finite Newton step in Laplace maximization")
         t = 1.0
-        moved = False
-        for _ in range(_MAX_HALVINGS):
-            cand = theta + t * step
-            val = eval_log(cavity, cand) + factor.log_value(cand)
-            if np.isfinite(val) and val >= obj:
-                theta, obj, moved = cand, val, True
+        cand = theta + step
+        val = eval_log(cavity, cand) + factor.log_value(cand)
+        if not (np.isfinite(val) and val >= obj):
+            cands = theta + _HALVINGS[:, None] * step
+            vals = eval_log(cavity, cands) + _log_values(factor, cands)
+            ok = np.flatnonzero(np.isfinite(vals) & (vals >= obj))
+            if ok.size == 0:
+                converged = True  # no ascent available along the Newton direction
                 break
-            t *= 0.5
-        if not moved:
-            converged = True  # no ascent available along the Newton direction
-            break
+            k = ok[0]
+            t, cand, val = _HALVINGS[k], cands[k], vals[k]
+        theta, obj = cand, val
         if np.all(np.abs(t * step) <= tol * np.maximum(1.0, np.abs(theta))):
             converged = True
             break
@@ -231,27 +236,6 @@ def approx_quick_laplace(cavity: DiagGaussian, factor,
 # ---------------------------------------------------------------------------
 # Gaussian quadrature
 # ---------------------------------------------------------------------------
-
-
-def quadrature_moments(cavity: DiagGaussian, factor,
-                       rule: QuadratureRule | None = None,
-                       gamma: float | None = None) -> MomentVector:
-    """Sigma-point estimate of the order-0/1/2 moments of cavity*factor.
-
-    The estimate is the weighted point sum scaled by the cavity's total mass,
-    so it approximates the raw (unnormalized) integrals.  Moments are
-    materialized in linear space; callers needing extreme masses should go
-    through approx_gauss_quadrature, which keeps the scale in log form.
-    """
-    rule = rule or build_rule(cavity, gamma)
-    logf = _log_values(factor, rule.points)
-    scale = float(np.exp(cavity.log_mass))
-    f = np.exp(logf)
-    wf = rule.weights * f * scale
-    m0 = float(np.sum(wf))
-    m1 = wf @ rule.points
-    m2 = wf @ (rule.points * rule.points)
-    return MomentVector(m0, m1, m2)
 
 
 def approx_gauss_quadrature(cavity: DiagGaussian, factor,

@@ -45,11 +45,11 @@ from ffep.schemes import (
     approximate,
     build_rule,
     default_gamma,
-    quadrature_moments,
     surrogate_value_grad_hess,
 )
 
 from oracles import dense_kl_1d, dense_moments_1d, log_gauss_1d
+from test_schemes import quadrature_moments
 
 PRIOR = PriorFactor(variance=25.0)
 

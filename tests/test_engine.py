@@ -5,12 +5,15 @@ down the engine's bookkeeping exactly: one sweep must land on the product
 of the factors and further sweeps must not move it.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ffep.engine import (
     EpConfig,
     TraceRecord,
+    _check_product,
     ep_run,
     ep_run_factors,
     gate_update,
@@ -190,6 +193,20 @@ class TestEngineMechanics:
                                    rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(state.global_approx.neg_half_precision,
                                    total.neg_half_precision, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("field", ["linear", "neg_half_precision", "log_scale"])
+    def test_product_check_raises_on_drift(self, field):
+        rng = np.random.default_rng(43)
+        ds = random_dataset(rng, 20, 2)
+        prior = PriorFactor(variance=25.0)
+        state, _ = ep_run(config("qla", batch_size=5, prior=prior, n_sweeps=2), ds)
+        prior_msg = prior_as_message(prior, 2)
+        _check_product(state, prior_msg)
+
+        g = state.global_approx
+        state.global_approx = replace(g, **{field: getattr(g, field) + 1e-6})
+        with pytest.raises(RuntimeError, match="drifted from the message product"):
+            _check_product(state, prior_msg)
 
     def test_gate_rejections_are_counted_and_skipped(self):
         # An improper Gaussian factor with quadratic coefficient +0.6 posts a

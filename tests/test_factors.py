@@ -8,13 +8,21 @@ from ffep.factors import (
     MiniBatchFactor,
     PriorFactor,
     bind,
-    log_factor,
-    log_factor_grad_hessdiag,
     prior_as_message,
 )
 from ffep.gaussian import DiagGaussian, eval_log
 from ffep.ingest import Dataset
 from ffep.losses import hinge, logistic, quasi01
+
+
+def log_factor(factor, dataset, theta):
+    """-beta * (summed batch loss) at theta; never exponentiated here."""
+    return bind(factor, dataset).log_value(np.asarray(theta, dtype=float))
+
+
+def log_factor_grad_hessdiag(factor, dataset, theta):
+    """Gradient and Hessian diagonal of the log-factor at theta."""
+    return bind(factor, dataset).log_grad_hessdiag(np.asarray(theta, dtype=float))
 
 
 def toy_dataset(rng=None, n=12, d=3):

@@ -5,10 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
+from ffep import schemes
+from ffep.engine import EpConfig, ep_run
 from ffep.factors import GaussianFactor, MiniBatchFactor, bind
 from ffep.gaussian import (
     DiagGaussian,
     ImproperGaussianError,
+    MomentVector,
     divide,
     eval_log,
     multiply,
@@ -16,6 +19,8 @@ from ffep.gaussian import (
 from ffep.ingest import Dataset
 from ffep.losses import hinge, logistic, quasi01
 from ffep.schemes import (
+    _MAX_HALVINGS,
+    _taylor_message,
     QuadratureRule,
     SchemeFailure,
     SchemeKind,
@@ -27,7 +32,6 @@ from ffep.schemes import (
     build_rule,
     default_gamma,
     generalized_kl_diagnostic,
-    quadrature_moments,
     scheme_from_name,
     surrogate_value_grad_hess,
 )
@@ -71,6 +75,21 @@ def single_example_factor(loss, x, y=1.0):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     ds = Dataset(features=x[None, :], labels=np.array([y]))
     return bind(MiniBatchFactor(batch=[0], loss=loss), ds)
+
+
+def quadrature_moments(cavity, factor):
+    """Sigma-point estimate of the order-0/1/2 moments of cavity*factor.
+
+    The estimate is the weighted point sum scaled by the cavity's total
+    mass, so it approximates the raw (unnormalized) integrals.  Moments are
+    materialized in linear space and overflow at extreme masses, which
+    approx_gauss_quadrature avoids by keeping the scale in log form.
+    """
+    rule = build_rule(cavity)
+    logf = factor.log_value_many(rule.points)
+    wf = rule.weights * np.exp(logf) * float(np.exp(cavity.log_mass))
+    return MomentVector(float(np.sum(wf)), wf @ rule.points,
+                        wf @ (rule.points * rule.points))
 
 
 def gauss_raw_moment(mu, var, p):
@@ -194,6 +213,145 @@ class TestLaplace:
         strict = SchemeKind(kind="la", newton_tol=1e-12, newton_max_iter=1)
         with pytest.raises(SchemeFailure):
             approx_laplace(cavity, factor, scheme=strict)
+
+
+def stepwise_laplace(cavity, factor, scheme=None):
+    """approx_laplace with a point-by-point line search.
+
+    The same Newton iteration, trying t = 1, 1/2, 1/4, ... with one factor
+    call each and stopping at the first ascent: the reference the batched
+    line search must match.
+    """
+    scheme = scheme or SchemeKind("la")
+    tol = scheme.newton_tol
+    theta = cavity.mean.copy()
+    lam = cavity.precision
+    obj = eval_log(cavity, theta) + factor.log_value(theta)
+    if not np.isfinite(obj):
+        raise SchemeFailure("objective not finite at the cavity mean")
+
+    converged = False
+    for _ in range(scheme.newton_max_iter):
+        grad_f, hd_f = factor.log_grad_hessdiag(theta)
+        grad = cavity.linear + 2.0 * cavity.neg_half_precision * theta + grad_f
+        hess = 2.0 * cavity.neg_half_precision + hd_f
+        hess = np.where(hess < -1e-12, hess, -lam)
+        step = -grad / hess
+        if not np.all(np.isfinite(step)):
+            raise SchemeFailure("non-finite Newton step in Laplace maximization")
+        t = 1.0
+        moved = False
+        for _ in range(_MAX_HALVINGS):
+            cand = theta + t * step
+            val = eval_log(cavity, cand) + factor.log_value(cand)
+            if np.isfinite(val) and val >= obj:
+                theta, obj, moved = cand, val, True
+                break
+            t *= 0.5
+        if not moved:
+            converged = True
+            break
+        if np.all(np.abs(t * step) <= tol * np.maximum(1.0, np.abs(theta))):
+            converged = True
+            break
+    if not converged:
+        raise SchemeFailure("Laplace maximization did not converge")
+
+    value = factor.log_value(theta)
+    grad_f, hd_f = factor.log_grad_hessdiag(theta)
+    msg = _taylor_message(theta, value, grad_f, hd_f)
+    if not msg.is_finite():
+        raise SchemeFailure("non-finite Laplace message")
+    return msg
+
+
+class LogValueOnlyFactor:
+    """A factor without log_value_many, so the schemes score points one by one."""
+
+    def __init__(self, factor):
+        self.factor = factor
+
+    def log_value(self, theta):
+        return self.factor.log_value(theta)
+
+    def log_grad_hessdiag(self, theta):
+        return self.factor.log_grad_hessdiag(theta)
+
+
+def assert_same_laplace_outcome(cavity, factor):
+    """Both line searches raise SchemeFailure, or their messages agree."""
+    try:
+        expect = stepwise_laplace(cavity, factor)
+    except SchemeFailure:
+        with pytest.raises(SchemeFailure):
+            approx_laplace(cavity, factor)
+        return
+    got = approx_laplace(cavity, factor)
+    np.testing.assert_allclose(got.log_scale, expect.log_scale, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got.linear, expect.linear, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got.neg_half_precision, expect.neg_half_precision,
+                               rtol=1e-12, atol=1e-12)
+
+
+class TestLaplaceLineSearch:
+    """The batched step-halving search against stepwise_laplace."""
+
+    @pytest.fixture
+    def batched_calls(self, monkeypatch):
+        """Sizes of the point stacks approx_laplace scores in one call."""
+        sizes = []
+        log_values = schemes._log_values
+
+        def counting(factor, pts):
+            sizes.append(len(pts))
+            return log_values(factor, pts)
+
+        monkeypatch.setattr(schemes, "_log_values", counting)
+        return sizes
+
+    @pytest.mark.parametrize("loss", [logistic(), hinge(), quasi01()],
+                             ids=lambda l: l.name)
+    def test_matches_stepwise_search_on_data_batches(self, synthetic_dataset, loss,
+                                                     batched_calls):
+        rng = np.random.default_rng(25)
+        d = synthetic_dataset.dim
+        for start in range(0, synthetic_dataset.n_examples, 10):
+            batch = np.arange(start, min(start + 10, synthetic_dataset.n_examples))
+            factor = bind(MiniBatchFactor(batch, loss), synthetic_dataset)
+            cavity = random_cavity(rng, d, log_var_range=(-1.5, 3.2), mean_scale=5.0)
+            assert_same_laplace_outcome(cavity, factor)
+        if loss.name != "logistic":
+            assert set(batched_calls) == {_MAX_HALVINGS - 1}  # the halving branch ran
+
+    def test_matches_stepwise_search_on_gaussian_factors(self):
+        rng = np.random.default_rng(26)
+        for _ in range(10):
+            cavity = random_cavity(rng, int(rng.integers(1, 6)))
+            assert_same_laplace_outcome(cavity, random_gaussian_factor(rng, cavity))
+
+    def test_matches_stepwise_search_without_log_value_many(self, synthetic_dataset,
+                                                             batched_calls):
+        rng = np.random.default_rng(27)
+        d = synthetic_dataset.dim
+        for start in range(0, 100, 10):
+            factor = bind(MiniBatchFactor(np.arange(start, start + 10), hinge()),
+                          synthetic_dataset)
+            cavity = random_cavity(rng, d, log_var_range=(-1.5, 3.2), mean_scale=5.0)
+            assert_same_laplace_outcome(cavity, LogValueOnlyFactor(factor))
+        assert batched_calls  # the per-point fallback scored the halvings
+
+    def test_looping_hinge_run_matches_stepwise_search(self, synthetic_dataset,
+                                                       monkeypatch):
+        cfg = EpConfig(scheme=SchemeKind("la"), loss=hinge(), batch_size=10)
+        state, trace = ep_run(cfg, synthetic_dataset)
+        monkeypatch.setitem(schemes._DISPATCH, "la", stepwise_laplace)
+        ref_state, ref_trace = ep_run(cfg, synthetic_dataset)
+        assert ([r.update_status for r in trace.records]
+                == [r.update_status for r in ref_trace.records])
+        g, ref = state.global_approx, ref_state.global_approx
+        np.testing.assert_allclose(g.linear, ref.linear, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(g.neg_half_precision, ref.neg_half_precision,
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestQuickLaplace:
