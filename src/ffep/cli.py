@@ -233,11 +233,21 @@ def _cmd_report(args) -> int:
     if not tables:
         print(f"no timing.csv found under {root}", file=sys.stderr)
         return _DATA_ERROR
+    header = ["dataset", "N", "d", "s", "loss", "scheme", "mean_ms_per_minibatch"]
     rows = []
     for table in tables:
         with open(table, newline="") as fh:
-            rows.extend(csv.DictReader(fh))
-    header = ["dataset", "N", "d", "s", "loss", "scheme", "mean_ms_per_minibatch"]
+            reader = csv.DictReader(fh)
+            missing = [h for h in header if h not in (reader.fieldnames or ())]
+            if missing:
+                raise DataLoadError(
+                    f"{table}: no column named {', '.join(map(repr, missing))}")
+            for row in reader:
+                short = [h for h in header if row[h] is None]
+                if short:
+                    raise DataLoadError(
+                        f"{table}: row {reader.line_num} has no value in column {short[0]!r}")
+                rows.append(row)
     print(",".join(header))
     for row in rows:
         print(",".join(row[h] for h in header))

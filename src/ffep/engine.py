@@ -10,6 +10,9 @@ Two modes share one code path:
   Because removing a unit message subtracts exact zeros, a streaming run is
   bit-identical to the first looping sweep.
 
+Every sweep visits the factors in their fixed order, and an accepted update
+replaces the stored message with the refreshed one in full.
+
 Runs always execute the configured number of sweeps; stationarity is
 something we measure, never a stopping rule.  Scheme failures and gated-out
 updates are recorded in the trace and skipped, not raised.
@@ -50,9 +53,7 @@ class EpConfig:
 
     ``n_sweeps=None`` resolves to 5 in looping mode and 1 in streaming mode;
     streaming only ever makes one pass, so any other explicit value is a
-    usage error.  ``damping`` blends the accepted message with the previous
-    one in natural parameters (0 = plain EP, the default and the behavior
-    under study).  ``cost_every`` thins the trace's full-dataset cost
+    usage error.  ``cost_every`` thins the trace's full-dataset cost
     evaluations for large runs (1 = every visit; large runs typically use 10).
     """
 
@@ -63,9 +64,6 @@ class EpConfig:
     n_sweeps: int | None = None
     mode: str = "looping"
     prior: PriorFactor = field(default_factory=PriorFactor)
-    seed: int | None = None
-    shuffle: bool = False
-    damping: float = 0.0
     cost_every: int = 1
 
     def __post_init__(self):
@@ -79,8 +77,6 @@ class EpConfig:
             raise ValueError("n_sweeps must be at least 1")
         if self.mode == "streaming" and self.n_sweeps not in (None, 1):
             raise ValueError("streaming mode is a single pass; n_sweeps must be 1")
-        if not 0.0 <= self.damping < 1.0:
-            raise ValueError("damping must lie in [0, 1)")
         if self.cost_every < 1:
             raise ValueError("cost_every must be at least 1")
 
@@ -98,7 +94,6 @@ class EpState:
     global_approx: DiagGaussian
     messages: list[DiagGaussian] | None  # None in streaming mode
     rejected_updates: int = 0
-    sweep: int = 0
 
 
 @dataclass(frozen=True)
@@ -153,17 +148,6 @@ def posterior_mode(state: EpState) -> np.ndarray:
     return state.global_approx.mean
 
 
-def _blend(old: DiagGaussian, new: DiagGaussian, damping: float) -> DiagGaussian:
-    if damping == 0.0:
-        return new
-    keep = 1.0 - damping
-    return DiagGaussian(
-        keep * new.log_scale + damping * old.log_scale,
-        keep * new.linear + damping * old.linear,
-        keep * new.neg_half_precision + damping * old.neg_half_precision,
-    )
-
-
 def _check_product(state: EpState, prior_msg: DiagGaussian):
     msgs = state.messages
     linear = prior_msg.linear + np.sum([m.linear for m in msgs], axis=0)
@@ -194,31 +178,23 @@ def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
         messages=[DiagGaussian.unit(dim) for _ in factors] if looping else None,
     )
     trace = EpTrace()
-    rng = np.random.default_rng(config.seed) if config.shuffle else None
-    unit = DiagGaussian.unit(dim)
 
     elapsed = 0.0
     visit = 0
     n_total = config.resolved_sweeps * len(factors)
     for sweep in range(config.resolved_sweeps):
-        state.sweep = sweep
-        order = np.arange(len(factors))
-        if rng is not None:
-            order = rng.permutation(order)
-        for k in order:
-            k = int(k)
+        for k in range(len(factors)):
             visit += 1
             status = "applied"
 
             tic = time.perf_counter()
-            old_msg = state.messages[k] if looping else unit
-            cavity = divide(state.global_approx, old_msg) if looping else state.global_approx
+            cavity = divide(state.global_approx, state.messages[k]) if looping else state.global_approx
             if not cavity.is_proper:
                 status = "rejected"
                 state.rejected_updates += 1
             else:
                 try:
-                    candidate = _blend(old_msg, approximate(config.scheme, cavity, factors[k]), config.damping)
+                    candidate = approximate(config.scheme, cavity, factors[k])
                 except SchemeFailure:
                     status = "scheme_failed"
                 else:
@@ -257,9 +233,9 @@ def ep_run(config: EpConfig, dataset: Dataset):
         bind(MiniBatchFactor(idx, config.loss, config.beta), dataset)
         for idx in parts.batches
     ]
-    margins = dataset.labels[:, None] * dataset.features
 
     def classification_cost(theta):
-        return float(np.sum(loss_value(config.loss, margins @ theta)))
+        margins = dataset.labels * (dataset.features @ theta)
+        return float(np.sum(loss_value(config.loss, margins)))
 
     return ep_run_factors(factors, dataset.dim, config, cost_fn=classification_cost)

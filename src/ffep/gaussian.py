@@ -146,14 +146,6 @@ class DiagGaussian:
             and np.all(np.isfinite(self.neg_half_precision))
         )
 
-    # -- operator sugar over the module-level ops ------------------------------
-
-    def __mul__(self, other: "DiagGaussian") -> "DiagGaussian":
-        return multiply(self, other)
-
-    def __truediv__(self, other: "DiagGaussian") -> "DiagGaussian":
-        return divide(self, other)
-
 
 @dataclass(frozen=True)
 class MomentVector:

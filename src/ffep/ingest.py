@@ -38,6 +38,7 @@ __all__ = [
     "preprocess",
     "partition",
     "bundled_synthetic_path",
+    "bundled_synthetic_schema",
 ]
 
 logger = logging.getLogger(__name__)
@@ -238,18 +239,16 @@ def preprocess(table: RawTable, name: str = "dataset") -> Dataset:
     )
 
 
-def partition(dataset: Dataset, s: int, seed=None) -> MiniBatchPartition:
+def partition(dataset: Dataset, s: int) -> MiniBatchPartition:
     """Split example indices into mini-batches of size ``s``.
 
     Batches are contiguous ranges in dataset order; the remainder batch is
-    kept.  A seed pre-shuffles the example order before cutting.
+    kept.
     """
     n = dataset.n_examples
     if not 1 <= s <= n:
         raise ValueError(f"batch size {s} out of range [1, {n}]")
     order = np.arange(n)
-    if seed is not None:
-        order = np.random.default_rng(seed).permutation(n)
     batches = [order[i : i + s] for i in range(0, n, s)]
     return MiniBatchPartition(batch_size=s, batches=batches)
 

@@ -158,6 +158,29 @@ class TestReportCommand:
         assert out[0].startswith("dataset,")
         assert sum("toy,40,4,10,logistic" in line for line in out) == 2
 
+    def test_foreign_table_is_a_data_error_before_any_output(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        (tmp_path / "a" / "timing.csv").write_text(self.timing_lines("la"))
+        foreign = tmp_path / "b" / "timing.csv"
+        foreign.write_text("dataset,N\ntoy,40\n")
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(foreign) in captured.err
+        assert "'d'" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_short_row_is_a_data_error(self, tmp_path, capsys):
+        table = tmp_path / "timing.csv"
+        table.write_text(self.timing_lines("la") + "toy,40,4,10,logistic\n")
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(table) in captured.err
+        assert "row 3" in captured.err
+        assert "'scheme'" in captured.err
+
     def test_empty_directory_is_a_data_error(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 2
         assert "no timing.csv" in capsys.readouterr().err

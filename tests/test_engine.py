@@ -21,8 +21,8 @@ from ffep.engine import (
 )
 from ffep.factors import GaussianFactor, PriorFactor, prior_as_message
 from ffep.gaussian import DiagGaussian, multiply
-from ffep.ingest import Dataset
-from ffep.losses import logistic
+from ffep.ingest import Dataset, RawTable, preprocess
+from ffep.losses import hinge, logistic, quasi01
 from ffep.schemes import SchemeKind
 
 from oracles import grid_min_2d  # noqa: F401  (shared import path check)
@@ -84,8 +84,6 @@ class TestEpConfig:
             config(batch_size=0)
         with pytest.raises(ValueError, match="n_sweeps"):
             config(n_sweeps=0)
-        with pytest.raises(ValueError, match="damping"):
-            config(damping=1.0)
         with pytest.raises(ValueError, match="cost_every"):
             config(cost_every=0)
 
@@ -253,55 +251,6 @@ class TestEngineMechanics:
         assert all(b >= a for a, b in zip(ms, ms[1:]))
         assert trace.total_ms == ms[-1]
 
-    def test_damping_blends_toward_previous_message(self):
-        # The stored message starts as the unit (all-zero naturals), so a
-        # half-damped first visit posts exactly half the fitted naturals.
-        g = gaussian_factor([1.0], [1.0])
-        cfg = config("qla", prior=PriorFactor(variance=4.0), n_sweeps=1,
-                     damping=0.5)
-        state, _ = ep_run_factors([g], 1, cfg)
-        np.testing.assert_allclose(state.messages[0].linear, 0.5 * g.g.linear,
-                                   rtol=1e-14)
-        np.testing.assert_allclose(state.messages[0].neg_half_precision,
-                                   0.5 * g.g.neg_half_precision, rtol=1e-14)
-
-    def test_damped_run_still_reaches_conjugate_fixed_point(self):
-        g = gaussian_factor([1.0], [1.0])
-        cfg = config("qla", prior=PriorFactor(variance=4.0), n_sweeps=60,
-                     damping=0.5)
-        state, _ = ep_run_factors([g], 1, cfg)
-        np.testing.assert_allclose(state.messages[0].linear, g.g.linear,
-                                   atol=1e-10)
-        assert state.global_approx.precision[0] == pytest.approx(0.25 + 1.0,
-                                                                 abs=1e-10)
-
-    def test_shuffle_visits_each_factor_once_per_sweep(self):
-        rng = np.random.default_rng(44)
-        ds = random_dataset(rng, 30, 2)
-        cfg = config("qla", batch_size=10, shuffle=True, seed=7)
-        _, trace = ep_run(cfg, ds)
-        for sweep in range(5):
-            seen = sorted(r.factor_index for r in trace.records
-                          if r.sweep == sweep)
-            assert seen == [0, 1, 2]
-
-    def test_fixed_seed_reproduces_the_trace(self):
-        rng = np.random.default_rng(45)
-        ds = random_dataset(rng, 30, 3)
-        runs = []
-        for _ in range(2):
-            cfg = config("vq", batch_size=10, shuffle=True, seed=11)
-            state, trace = ep_run(cfg, ds)
-            runs.append((state.global_approx, trace))
-        a, b = runs
-        np.testing.assert_array_equal(a[0].linear, b[0].linear)
-        np.testing.assert_array_equal(a[0].neg_half_precision,
-                                      b[0].neg_half_precision)
-        assert [r.factor_index for r in a[1].records] == \
-               [r.factor_index for r in b[1].records]
-        assert [r.total_cost for r in a[1].records] == \
-               [r.total_cost for r in b[1].records]
-
 
 class TestStreamingEquivalence:
     def test_streaming_equals_single_looping_sweep_bitwise(self):
@@ -322,6 +271,54 @@ class TestStreamingEquivalence:
                                           stream.global_approx.neg_half_precision)
 
 
+class TestEdgeInputs:
+    """s=1, a constant raw column and a large beta at once.
+
+    The constant column is all zeros after preprocessing, so coordinate 1 is
+    inert in every loss: no factor carries information about it.
+    """
+
+    @staticmethod
+    def edge_dataset():
+        rng = np.random.default_rng(50)
+        n = 23
+        table = RawTable(
+            columns=np.column_stack([rng.normal(size=n), np.full(n, 3.0)]),
+            column_names=("x", "constant"),
+            labels=np.where(rng.normal(size=n) < 0, -1.0, 1.0),
+        )
+        ds = preprocess(table)
+        assert np.all(ds.features[:, 1] == 0.0)
+        return ds
+
+    @pytest.mark.parametrize("kind", ["la", "qla", "gq", "vq"])
+    @pytest.mark.parametrize("beta", [1.0, 50.0])
+    @pytest.mark.parametrize("loss", [logistic(), hinge(), quasi01()],
+                             ids=lambda loss: loss.name)
+    def test_single_example_batches_on_an_inert_coordinate(self, kind, beta, loss):
+        ds = self.edge_dataset()
+        prior = PriorFactor(variance=25.0)
+        common = dict(loss=loss, beta=beta, batch_size=1, prior=prior)
+        loop, loop_trace = ep_run(config(kind, n_sweeps=1, **common), ds)
+        stream, stream_trace = ep_run(config(kind, mode="streaming", **common), ds)
+
+        assert loop_trace.n_visits == stream_trace.n_visits == 23
+        g = stream.global_approx
+        assert g.is_finite() and g.is_proper
+        assert loop.global_approx.log_scale == g.log_scale
+        np.testing.assert_array_equal(loop.global_approx.linear, g.linear)
+        np.testing.assert_array_equal(loop.global_approx.neg_half_precision,
+                                      g.neg_half_precision)
+        # gq is left out: its weighted sigma-point cloud collapses onto the
+        # spokes of the other coordinates, so moment matching posts precision
+        # on the inert coordinate (here 0.51 for logistic at beta=1, 2.4e16 at
+        # beta=50, 1.3e32 for quasi01 at beta=50). That is a known defect
+        # of the rule, not a tolerance to widen.
+        if kind != "gq":
+            assert g.precision[1] == 0.04
+            assert g.mean[1] == 0.0
+
+
 class TestEpRun:
     def test_partitions_and_traces_full_run(self):
         rng = np.random.default_rng(47)
@@ -340,7 +337,7 @@ class TestEpRun:
         cfg = config("qla", batch_size=10)
         state, trace = ep_run(cfg, ds)
         expected = total_cost(posterior_mode(state), ds, logistic())
-        assert trace.records[-1].total_cost == pytest.approx(expected, rel=1e-12)
+        assert trace.records[-1].total_cost == expected
 
     def test_trace_record_fields(self):
         rng = np.random.default_rng(49)

@@ -126,12 +126,6 @@ class TestMultiplyDivide:
                 np.testing.assert_array_equal(lhs.neg_half_precision,
                                               rhs.neg_half_precision)
 
-    def test_operator_sugar_matches_functions(self):
-        rng = np.random.default_rng(3)
-        a, b = random_proper(rng, 2), random_proper(rng, 2)
-        np.testing.assert_array_equal((a * b).linear, multiply(a, b).linear)
-        np.testing.assert_array_equal((a / b).linear, divide(a, b).linear)
-
 
 class TestMomentConversions:
     def test_standard_normal_moments(self):
