@@ -17,7 +17,6 @@ import csv
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 N = 306
 SEED = 20160306
@@ -43,7 +42,7 @@ def generate(seed: int = SEED):
         + COEF_NODES * nodes
         + COEF_YEAR * (year - 63.0)
     )
-    status = np.where(rng.random(N) < expit(logit), 2, 1)
+    status = np.where(rng.random(N) < 1.0 / (1.0 + np.exp(-logit)), 2, 1)
     return age, year, nodes, status
 
 

@@ -25,14 +25,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
-from scipy.special import expit
 
 from .engine import EpConfig, EpTrace, ep_run
 from .factors import PriorFactor
 from .ingest import ColumnSchema, Dataset, load_csv, preprocess
-from .losses import LossKind, loss_value
+from .losses import LossKind, loss_derivatives, loss_value
 from .schemes import SchemeKind
 
 __all__ = [
@@ -81,18 +78,19 @@ def reference_newton_logistic(dataset: Dataset,
     mean = np.zeros(dataset.dim) if prior.mean is None else np.asarray(prior.mean, float)
     z = dataset.labels[:, None] * dataset.features
     theta = mean.copy()
+    logistic = LossKind("logistic")
 
     def objective(t):
         return float(np.sum(np.logaddexp(0.0, -(z @ t)))) + _prior_quadratic(prior, t)
 
     for _ in range(_NEWTON_MAX_ITER):
-        a = z @ theta
-        grad = -(z.T @ expit(-a)) + (theta - mean) / prior.variance
+        d1, w = loss_derivatives(logistic, z @ theta)
+        grad = z.T @ d1 + (theta - mean) / prior.variance
         if np.max(np.abs(grad)) <= _NEWTON_GRAD_TOL:
             return theta
-        w = expit(a) * expit(-a)
         hess = z.T @ (w[:, None] * z) + np.eye(dataset.dim) / prior.variance
-        step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(hess), -grad)
+        chol = np.linalg.cholesky(hess)  # raises LinAlgError unless positive definite
+        step = np.linalg.solve(chol.T, np.linalg.solve(chol, -grad))
         f0 = objective(theta)
         t = 1.0
         while t > 1e-12 and objective(theta + t * step) > f0:
@@ -109,20 +107,148 @@ class PowellResult:
     n_line_searches: int
 
 
+# numpy port of scipy.optimize's bracket and Brent.optimize (BSD-3-Clause), as
+# minimize_scalar(method="brent", bracket=(0, 1)) runs them
+_GOLD = 1.618034
+_CG = 0.3819660
+_MINTOL = 1e-11
+_GROW_LIMIT = 110.0
+_BRACKET_MAX_ITER = 1000
+_BRENT_MAX_ITER = 500
+_BRENT_XTOL = 1e-10
+
+
+def _bracket(g, xa, xb):
+    """Downhill search from xa, xb for xa, xb, xc with g(xb) below both ends.
+
+    Returns the three points and their values, which may not bracket a
+    minimum (the caller checks); raises RuntimeError past the iteration cap.
+    """
+    fa, fb = g(xa), g(xb)
+    if fa < fb:
+        xa, xb, fa, fb = xb, xa, fb, fa
+    xc = xb + _GOLD * (xb - xa)
+    fc = g(xc)
+    it = 0
+    while fc < fb:
+        tmp1 = (xb - xa) * (fb - fc)
+        tmp2 = (xb - xc) * (fb - fa)
+        val = tmp2 - tmp1
+        denom = 2e-21 if np.abs(val) < 1e-21 else 2.0 * val
+        w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
+        wlim = xb + _GROW_LIMIT * (xc - xb)
+        if it > _BRACKET_MAX_ITER:
+            raise RuntimeError("no bracket within the iteration limit")
+        it += 1
+        if (w - xc) * (xb - w) > 0.0:
+            fw = g(w)
+            if fw < fc:
+                xa, xb, fa, fb = xb, w, fb, fw
+                break
+            elif fw > fb:
+                xc, fc = w, fw
+                break
+            w = xc + _GOLD * (xc - xb)
+            fw = g(w)
+        elif (w - wlim) * (wlim - xc) >= 0.0:
+            w = wlim
+            fw = g(w)
+        elif (w - wlim) * (xc - w) > 0.0:
+            fw = g(w)
+            if fw < fc:
+                xb, xc = xc, w
+                w = xc + _GOLD * (xc - xb)
+                fb, fc = fc, fw
+                fw = g(w)
+        else:
+            w = xc + _GOLD * (xc - xb)
+            fw = g(w)
+        xa, xb, xc = xb, xc, w
+        fa, fb, fc = fb, fc, fw
+    return xa, xb, xc, fa, fb, fc
+
+
+def _brent(g):
+    """Brent's minimization of g from the bracket search at (0, 1).
+
+    Without a valid bracket it returns the best of the three points the
+    search ended on (NaN when any of them is NaN), as scipy does.
+    """
+    xa, xb, xc, fa, fb, fc = _bracket(g, np.float64(0.0), np.float64(1.0))
+    if not (((fb < fc and fb <= fa) or (fb < fa and fb <= fc))
+            and (xa < xb < xc or xc < xb < xa)
+            and np.isfinite(xa) and np.isfinite(xb) and np.isfinite(xc)):
+        xs, fs = [xa, xb, xc], [fa, fb, fc]
+        if np.any(np.isnan([xs, fs])):
+            return np.nan, np.nan
+        i = int(np.argmin(fs))
+        return xs[i], fs[i]
+
+    x = w = v = xb
+    fx = fw = fv = fb
+    a, b = (xa, xc) if xa < xc else (xc, xa)
+    deltax = rat = 0.0
+    for _ in range(_BRENT_MAX_ITER):
+        tol1 = _BRENT_XTOL * np.abs(x) + _MINTOL
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if np.abs(x - xmid) < (tol2 - 0.5 * (b - a)):
+            break
+        if np.abs(deltax) <= tol1:
+            deltax = a - x if x >= xmid else b - x  # golden-section step
+            rat = _CG * deltax
+        else:  # parabolic step
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = np.abs(tmp2)
+            dx_temp = deltax
+            deltax = rat
+            if (p > tmp2 * (a - x) and p < tmp2 * (b - x)
+                    and np.abs(p) < np.abs(0.5 * tmp2 * dx_temp)):
+                rat = p / tmp2
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:
+                deltax = a - x if x >= xmid else b - x
+                rat = _CG * deltax
+        if np.abs(rat) < tol1:  # move by at least tol1
+            u = x + tol1 if rat >= 0 else x - tol1
+        else:
+            u = x + rat
+        fu = g(u)
+        if fu > fx:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        else:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
+    return x, fx
+
+
 def _line_minimize(objective, theta, direction, f0):
     """Brent minimization of t -> objective(theta + t*direction); never moves uphill."""
-    def g(t):
-        return objective(theta + t * direction)
-
     try:
-        res = scipy.optimize.minimize_scalar(
-            g, bracket=(0.0, 1.0), method="brent", options={"xtol": 1e-10}
-        )
-    except Exception:
+        t, ft = _brent(lambda t: objective(theta + t * direction))
+    except RuntimeError:
         return theta, f0
-    if not (np.isfinite(res.x) and np.isfinite(res.fun)) or res.fun >= f0:
+    if not (np.isfinite(t) and np.isfinite(ft)) or ft >= f0:
         return theta, f0
-    return theta + float(res.x) * direction, float(res.fun)
+    return theta + float(t) * direction, float(ft)
 
 
 def reference_powell(dataset: Dataset, loss: LossKind, theta_init,

@@ -139,12 +139,67 @@ def _resolve(col, names, row_len, where):
         raise DataLoadError(f"{where}: no column named {col!r} in header {names}")
 
 
+def _columns(schema: ColumnSchema, names, width, where):
+    """Positions of the label, numeric and categorical columns."""
+    label_i = _resolve(schema.label, names, width, where)
+    numeric_i = [(_resolve(c, names, width, where), c) for c in schema.numeric]
+    categ_i = [(_resolve(c, names, width, where), c) for c in schema.categorical]
+    return label_i, numeric_i, categ_i
+
+
 def load_csv(path, schema: ColumnSchema) -> RawTable:
     """Read a comma-delimited example file into a numeric table.
 
-    Raises DataLoadError naming the offending row on unparseable numeric
-    tokens or unmapped label values.
+    A table without categorical columns is first parsed as one block by
+    ``np.loadtxt``.  Whatever that parse rejects (a missing or malformed
+    token, an unknown label, a ragged row) is read again row by row, which
+    drops rows with missing numeric values and raises DataLoadError naming
+    the offending row on unparseable numeric tokens or unmapped label
+    values.
     """
+    if not schema.categorical:
+        try:
+            return _load_block(path, schema)
+        except (OSError, ValueError, KeyError):
+            pass  # the row loop reads the file again and reports what it finds
+    return _load_rows(path, schema)
+
+
+def _load_block(path, schema: ColumnSchema) -> RawTable:
+    """All-numeric tables in one ``np.loadtxt`` call; raises on anything else.
+
+    Only the header and the first data row go through ``csv``, for the
+    column names and the row width.  ``comments=None`` keeps a row that
+    starts with "#" from being skipped silently.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = (row for row in reader if row)
+        first = next(rows, None)
+        header_lines = reader.line_num
+        data = next(rows, None) if schema.has_header else first
+    if data is None:
+        raise ValueError("no data row")
+    names = [c.strip() for c in first] if schema.has_header else None
+    label_i, numeric_i, _ = _columns(schema, names, len(data), str(path))
+    numeric = [i for i, _ in numeric_i]
+    if label_i in numeric:
+        raise ValueError("the label column is also a feature column")
+    label_map = schema.label_map
+    block = np.loadtxt(
+        path, delimiter=",", comments=None, ndmin=2,
+        skiprows=header_lines if schema.has_header else 0,
+        converters={label_i: lambda tok: label_map[tok.strip()]},
+    )
+    return RawTable(
+        columns=np.ascontiguousarray(block[:, numeric]),
+        column_names=tuple(str(c) for _, c in numeric_i),
+        labels=block[:, label_i].copy(),
+    )
+
+
+def _load_rows(path, schema: ColumnSchema) -> RawTable:
+    """load_csv row by row: missing values, categorical columns and every error."""
     try:
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
@@ -161,9 +216,7 @@ def load_csv(path, schema: ColumnSchema) -> RawTable:
         raise DataLoadError(f"{path}: no data rows after header")
 
     width = len(rows[0])
-    label_i = _resolve(schema.label, names, width, str(path))
-    numeric_i = [(_resolve(c, names, width, str(path)), c) for c in schema.numeric]
-    categ_i = [(_resolve(c, names, width, str(path)), c) for c in schema.categorical]
+    label_i, numeric_i, categ_i = _columns(schema, names, width, str(path))
 
     labels, numeric_vals, categ_vals = [], [], []
     n_dropped = 0

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = ["LossKind", "logistic", "hinge", "quasi01", "loss_from_name",
            "loss_value", "loss_derivatives"]
@@ -83,8 +82,12 @@ def loss_derivatives(kind: LossKind, a):
     """
     a = np.asarray(a, dtype=float)
     if kind.name == "logistic":
-        d1 = -expit(-a)
-        d2 = expit(a) * expit(-a)
+        # sigmoid(-a) and sigmoid(a) from one exp(-|a|), which cannot overflow
+        t = np.exp(-np.abs(a))
+        r = 1.0 / (1.0 + t)
+        q = t * r
+        d1 = np.where(a < 0, -r, -q)
+        d2 = r * q
     elif kind.name == "hinge":
         d1 = np.where(a < 1, -1.0, np.where(a > 1, 0.0, -0.5))
         d2 = np.zeros_like(a)

@@ -172,7 +172,10 @@ def approx_laplace(cavity: DiagGaussian, factor, scheme: SchemeKind | None = Non
     step first; if that lowers the objective, the halved steps 2^-1 ...
     2^-(_MAX_HALVINGS-1) are scored in one batched call and the longest
     one that does not lower it is taken.  When none qualifies, no ascent
-    is left along the Newton direction and the search has converged.
+    is left along the Newton direction and the search has converged.  A
+    full step that lowers the objective by at most 4 ulps is a tie, and
+    the search has converged too: which side of the tie it lands on is
+    rounding, as are the halved steps' values.
     """
     scheme = scheme or SchemeKind("la")
     if not cavity.is_proper:
@@ -197,6 +200,9 @@ def approx_laplace(cavity: DiagGaussian, factor, scheme: SchemeKind | None = Non
         cand = theta + step
         val = eval_log(cavity, cand) + factor.log_value(cand)
         if not (np.isfinite(val) and val >= obj):
+            if obj - val <= 4.0 * np.spacing(abs(obj)):
+                converged = True  # the full step changes the objective by rounding only
+                break
             cands = theta + _HALVINGS[:, None] * step
             vals = eval_log(cavity, cands) + _log_values(factor, cands)
             ok = np.flatnonzero(np.isfinite(vals) & (vals >= obj))

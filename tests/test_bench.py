@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from ffep import bench
 from ffep.bench import (
     PowellResult,
     RunConfig,
@@ -207,6 +208,74 @@ class TestPowellReference:
         res = scipy.optimize.minimize(objective, theta_log, method="Powell",
                                       options={"xtol": 1e-8, "ftol": 1e-10})
         assert ours.cost == pytest.approx(res.fun, rel=0.03)
+
+
+def scipy_brent(g):
+    """The minimize_scalar call the line search ran on before its numpy port."""
+    res = scipy.optimize.minimize_scalar(g, bracket=(0.0, 1.0), method="brent",
+                                         options={"xtol": 1e-10})
+    return res.x, res.fun
+
+
+def scipy_line_minimize(objective, theta, direction, f0):
+    """bench._line_minimize backed by scipy, as it was before the port."""
+    def g(t):
+        return objective(theta + t * direction)
+
+    try:
+        x, fx = scipy_brent(g)
+    except Exception:
+        return theta, f0
+    if not (np.isfinite(x) and np.isfinite(fx)) or fx >= f0:
+        return theta, f0
+    return theta + float(x) * direction, float(fx)
+
+
+def synthetic_hinge_line(dataset):
+    """The first line Powell searches for hinge: along e_0 from the Newton solution."""
+    theta = reference_newton_logistic(dataset, PRIOR)
+    direction = np.eye(dataset.dim)[0]
+    return lambda t: total_cost(theta + t * direction, dataset, hinge(), PRIOR)
+
+
+class TestLineMinimizer:
+    """The numpy Brent port in bench against scipy's minimize_scalar."""
+
+    @pytest.mark.parametrize("line", ["quadratic", "quartic", "abs", "synthetic_hinge"])
+    def test_same_bits_as_scipy_brent(self, line, synthetic_dataset):
+        g = {
+            "quadratic": lambda t: (t - 0.7) ** 2 + 1.0,
+            "quartic": lambda t: (t - 2.5) ** 4 + 0.1 * t,
+            "abs": lambda t: abs(t - 0.3),
+            "synthetic_hinge": synthetic_hinge_line(synthetic_dataset),
+        }[line]
+        x, fx = bench._brent(g)
+        expect_x, expect_fx = scipy_brent(g)
+        assert x != 0.0  # the search moved
+        assert (x, fx) == (expect_x, expect_fx)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unbracketable_line_is_left_alone(self):
+        def g(t):
+            return -t
+
+        with pytest.raises(RuntimeError):  # scipy's BracketError
+            scipy.optimize.bracket(g, 0.0, 1.0)
+        assert bench._brent(g) == scipy_brent(g) == (np.inf, -np.inf)
+        theta = np.array([1.0, 2.0])
+        got, f = bench._line_minimize(lambda th: -th[0], theta, np.array([1.0, 0.0]), -1.0)
+        assert got is theta and f == -1.0
+
+    @pytest.mark.parametrize("loss", [hinge(), quasi01(0.1)], ids=lambda l: l.name)
+    def test_powell_matches_scipy_backed_line_search(self, synthetic_dataset, loss,
+                                                     monkeypatch):
+        theta_log = reference_newton_logistic(synthetic_dataset, PRIOR)
+        got = reference_powell(synthetic_dataset, loss, theta_log, PRIOR)
+        monkeypatch.setattr(bench, "_line_minimize", scipy_line_minimize)
+        expect = reference_powell(synthetic_dataset, loss, theta_log, PRIOR)
+        assert got.theta.tobytes() == expect.theta.tobytes()
+        assert (got.cost, got.converged, got.n_line_searches) \
+            == (expect.cost, expect.converged, expect.n_line_searches)
 
 
 class TestWriteTrace:

@@ -110,6 +110,29 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 3
         assert "FAILED" in capsys.readouterr().err
 
+    def test_run_never_imports_scipy(self, tmp_path):
+        # every loss and scheme, so the Newton and the Powell references both run
+        out = tmp_path / "results"
+        script = (
+            "import sys\n"
+            "from ffep.cli import main\n"
+            "code = main(['run', '--loss', 'logistic,hinge,quasi01',\n"
+            "             '--scheme', 'la,qla,gq,vq', '--sweeps', '1',\n"
+            f"             '--out', {str(out)!r}])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(ffep.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(out.glob("*.trace.csv"))) == 12
+        assert json.loads((out / "manifest.json").read_text())["references"].keys() \
+            == {"logistic", "hinge", "quasi01"}
+        assert proc.stdout.splitlines()[-1] == "[]"
+
 
 class TestReferenceCommand:
     def test_writes_references_json(self, tmp_path, small_csv, capsys):

@@ -68,6 +68,16 @@ class TestDerivatives:
         assert d1 == pytest.approx(-0.5, rel=1e-14)
         assert d2 == pytest.approx(0.25, rel=1e-14)
 
+    @pytest.mark.filterwarnings("error")
+    def test_logistic_tails_without_overflow(self):
+        a = np.array([-800.0, -40.0, 40.0, 800.0])
+        d1, d2 = loss_derivatives(logistic(), a)
+        tail = np.exp(-40.0)
+        np.testing.assert_allclose(d1, [-1.0, -1.0 / (1.0 + tail), -tail / (1.0 + tail), 0.0],
+                                   rtol=1e-15, atol=0)
+        np.testing.assert_allclose(d2, [0.0, tail / (1.0 + tail) ** 2,
+                                        tail / (1.0 + tail) ** 2, 0.0], rtol=1e-15, atol=0)
+
     def test_hinge_half_sum_at_kink(self):
         d1, d2 = loss_derivatives(hinge(), 1.0)
         assert d1 == -0.5 and d2 == 0.0

@@ -219,8 +219,9 @@ def stepwise_laplace(cavity, factor, scheme=None):
     """approx_laplace with a point-by-point line search.
 
     The same Newton iteration, trying t = 1, 1/2, 1/4, ... with one factor
-    call each and stopping at the first ascent: the reference the batched
-    line search must match.
+    call each and stopping at the first ascent, or converging when the full
+    step ties the objective to 4 ulps: the reference the batched line search
+    must match.
     """
     scheme = scheme or SchemeKind("la")
     tol = scheme.newton_tol
@@ -247,6 +248,8 @@ def stepwise_laplace(cavity, factor, scheme=None):
             if np.isfinite(val) and val >= obj:
                 theta, obj, moved = cand, val, True
                 break
+            if t == 1.0 and obj - val <= 4.0 * np.spacing(abs(obj)):
+                break  # a full step that ties the objective to rounding: converged
             t *= 0.5
         if not moved:
             converged = True
@@ -276,6 +279,39 @@ class LogValueOnlyFactor:
 
     def log_grad_hessdiag(self, theta):
         return self.factor.log_grad_hessdiag(theta)
+
+
+class TiedStepFactor:
+    """A factor that puts every point but the start ``ulps`` ulps below it.
+
+    The log-factor is 0 at the cavity mean, where the search starts, and
+    elsewhere exactly what makes log(c*f) land that many ulps under the
+    starting objective.  Its gradient of 1 and curvature of -1 ask for a
+    nonzero Newton step.
+    """
+
+    def __init__(self, cavity, ulps):
+        self.cavity, self.start = cavity, cavity.mean.copy()
+        self.target = eval_log(cavity, self.start)
+        for _ in range(ulps):
+            self.target = np.nextafter(self.target, -np.inf)
+
+    def log_value(self, theta):
+        if np.array_equal(theta, self.start):
+            return 0.0
+        c = eval_log(self.cavity, theta)
+        v = self.target - c
+        while c + v > self.target:
+            v = np.nextafter(v, -np.inf)
+        while c + v < self.target:
+            v = np.nextafter(v, np.inf)
+        return float(v)
+
+    def log_value_many(self, thetas):
+        return np.array([self.log_value(t) for t in thetas])
+
+    def log_grad_hessdiag(self, theta):
+        return np.ones_like(theta), -np.ones_like(theta)
 
 
 def assert_same_laplace_outcome(cavity, factor):
@@ -322,6 +358,20 @@ class TestLaplaceLineSearch:
             assert_same_laplace_outcome(cavity, factor)
         if loss.name != "logistic":
             assert set(batched_calls) == {_MAX_HALVINGS - 1}  # the halving branch ran
+
+    @pytest.mark.parametrize("ulps, halvings_scored", [(1, []), (8, [_MAX_HALVINGS - 1])])
+    def test_full_step_tying_the_objective_converges(self, ulps, halvings_scored,
+                                                     batched_calls):
+        cavity = DiagGaussian.from_mean_var([0.5, -1.0], [1.0, 2.0])
+        factor = TiedStepFactor(cavity, ulps)
+        msg = approx_laplace(cavity, factor)
+        assert batched_calls == halvings_scored
+        start = cavity.mean  # no halved step ascends either, so the search stays put
+        expect = _taylor_message(start, 0.0, *factor.log_grad_hessdiag(start))
+        assert msg.log_scale == expect.log_scale
+        np.testing.assert_array_equal(msg.linear, expect.linear)
+        np.testing.assert_array_equal(msg.neg_half_precision, expect.neg_half_precision)
+        assert_same_laplace_outcome(cavity, factor)
 
     def test_matches_stepwise_search_on_gaussian_factors(self):
         rng = np.random.default_rng(26)
