@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -486,6 +486,7 @@ def run_experiment(config: RunConfig) -> dict:
                         "rejected_updates": state.rejected_updates,
                         "scheme_failures": statuses.count("scheme_failed"),
                         "mean_ms_per_minibatch": statistics.median(per_batch_ms),
+                        "sweeps": [asdict(rec) for rec in trace.sweeps],
                     }
                 )
             except Exception as exc:

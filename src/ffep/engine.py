@@ -4,7 +4,10 @@ Two modes share one code path:
 
 * looping - every factor's message is stored; each visit removes the stored
   message from the global approximation (the cavity), refits it, and folds
-  the refreshed message back in.  The default is five full sweeps.
+  the refreshed message back in.  The default is five full sweeps.  The K
+  messages live in (K, d) natural-parameter arrays plus a (K,) log-scale
+  vector, and after every applied visit the posterior is checked against
+  the prior times their column sums (relative and absolute tolerance 1e-9).
 * streaming - a single pass with no message storage: the cavity is simply
   the current posterior, and each factor's message is multiplied in once.
   Because removing a unit message subtracts exact zeros, a streaming run is
@@ -14,8 +17,11 @@ Every sweep visits the factors in their fixed order, and an accepted update
 replaces the stored message with the refreshed one in full.
 
 Runs always execute the configured number of sweeps; stationarity is
-something we measure, never a stopping rule.  Scheme failures and gated-out
-updates are recorded in the trace and skipped, not raised.
+something we measure, never a stopping rule: the trace records, per sweep,
+the largest change of any posterior mean and precision over that sweep.
+Scheme failures and gated-out updates are recorded in the trace and skipped,
+not raised.  A visit that leaves the posterior unchanged reuses the last
+trace cost instead of evaluating the cost function again.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ __all__ = [
     "EpConfig",
     "EpState",
     "EpTrace",
+    "SweepRecord",
     "TraceRecord",
     "ep_run",
     "ep_run_factors",
@@ -89,11 +96,48 @@ class EpConfig:
 
 @dataclass
 class EpState:
-    """Mutable run state: the posterior, stored messages, and counters."""
+    """Mutable run state: the posterior, stored messages, and counters.
+
+    In looping mode row k of ``linear`` and ``neg_half_precision`` (both
+    (K, d)) and entry k of ``log_scale`` (K,) hold factor k's message; every
+    row starts as the unit message.  Streaming stores no messages, so all
+    three are None.  ``messages`` is a read-only snapshot of the rows as
+    DiagGaussian values (None when streaming).
+    """
 
     global_approx: DiagGaussian
-    messages: list[DiagGaussian] | None  # None in streaming mode
+    linear: np.ndarray | None = None
+    neg_half_precision: np.ndarray | None = None
+    log_scale: np.ndarray | None = None
     rejected_updates: int = 0
+
+    @classmethod
+    def start(cls, prior_msg: DiagGaussian, n_messages: int | None) -> "EpState":
+        """The state before any visit: the prior, and ``n_messages`` unit
+        messages (None stores none, as streaming does)."""
+        if n_messages is None:
+            return cls(prior_msg)
+        shape = (n_messages, prior_msg.dim)
+        return cls(prior_msg, np.zeros(shape), np.zeros(shape), np.zeros(n_messages))
+
+    @property
+    def messages(self) -> list[DiagGaussian] | None:
+        if self.linear is None:
+            return None
+        return [
+            DiagGaussian(s, lin, nhp)
+            for s, lin, nhp in zip(self.log_scale, self.linear.copy(),
+                                   self.neg_half_precision.copy())
+        ]
+
+    def message(self, k: int) -> DiagGaussian:
+        """Factor k's stored message (its arrays are views of the store)."""
+        return DiagGaussian(self.log_scale[k], self.linear[k], self.neg_half_precision[k])
+
+    def store(self, k: int, msg: DiagGaussian):
+        self.linear[k] = msg.linear
+        self.neg_half_precision[k] = msg.neg_half_precision
+        self.log_scale[k] = msg.log_scale
 
 
 @dataclass(frozen=True)
@@ -105,9 +149,19 @@ class TraceRecord:
     cumulative_ms: float
 
 
+@dataclass(frozen=True)
+class SweepRecord:
+    """How far one sweep moved the posterior: max |change| over coordinates."""
+
+    sweep: int
+    max_mean_change: float
+    max_precision_change: float
+
+
 @dataclass
 class EpTrace:
     records: list[TraceRecord] = field(default_factory=list)
+    sweeps: list[SweepRecord] = field(default_factory=list)
 
     def append(self, rec: TraceRecord):
         self.records.append(rec)
@@ -140,7 +194,7 @@ def gate_update(cavity: DiagGaussian, candidate: DiagGaussian) -> bool:
     if not candidate.is_finite():
         return False
     posterior = multiply(cavity, candidate)
-    return bool(np.all(posterior.precision > _PRECISION_FLOOR))
+    return bool((posterior.precision > _PRECISION_FLOOR).all())
 
 
 def posterior_mode(state: EpState) -> np.ndarray:
@@ -148,16 +202,18 @@ def posterior_mode(state: EpState) -> np.ndarray:
     return state.global_approx.mean
 
 
+def _close(a, b) -> bool:
+    """np.allclose(a, b) at _PRODUCT_TOL, written out: NaN or inf never passes."""
+    return bool((np.abs(a - b) <= _PRODUCT_TOL + _PRODUCT_TOL * np.abs(b)).all())
+
+
 def _check_product(state: EpState, prior_msg: DiagGaussian):
-    msgs = state.messages
-    linear = prior_msg.linear + np.sum([m.linear for m in msgs], axis=0)
-    nhp = prior_msg.neg_half_precision + np.sum([m.neg_half_precision for m in msgs], axis=0)
-    log_scale = prior_msg.log_scale + sum(m.log_scale for m in msgs)
     g = state.global_approx
     ok = (
-        np.allclose(g.linear, linear, rtol=_PRODUCT_TOL, atol=_PRODUCT_TOL)
-        and np.allclose(g.neg_half_precision, nhp, rtol=_PRODUCT_TOL, atol=_PRODUCT_TOL)
-        and np.isclose(g.log_scale, log_scale, rtol=_PRODUCT_TOL, atol=_PRODUCT_TOL)
+        _close(g.linear, prior_msg.linear + state.linear.sum(axis=0))
+        and _close(g.neg_half_precision,
+                   prior_msg.neg_half_precision + state.neg_half_precision.sum(axis=0))
+        and _close(g.log_scale, prior_msg.log_scale + state.log_scale.sum())
     )
     if not ok:
         raise RuntimeError(
@@ -173,22 +229,21 @@ def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
     """
     prior_msg = prior_as_message(config.prior, dim)
     looping = config.mode == "looping"
-    state = EpState(
-        global_approx=prior_msg,
-        messages=[DiagGaussian.unit(dim) for _ in factors] if looping else None,
-    )
+    state = EpState.start(prior_msg, len(factors) if looping else None)
     trace = EpTrace()
 
     elapsed = 0.0
     visit = 0
     n_total = config.resolved_sweeps * len(factors)
+    cost, cost_stale = np.nan, True
     for sweep in range(config.resolved_sweeps):
+        start = state.global_approx
         for k in range(len(factors)):
             visit += 1
             status = "applied"
 
             tic = time.perf_counter()
-            cavity = divide(state.global_approx, state.messages[k]) if looping else state.global_approx
+            cavity = divide(state.global_approx, state.message(k)) if looping else state.global_approx
             if not cavity.is_proper:
                 status = "rejected"
                 state.rejected_updates += 1
@@ -201,23 +256,29 @@ def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
                     if gate_update(cavity, candidate):
                         state.global_approx = multiply(cavity, candidate)
                         if looping:
-                            state.messages[k] = candidate
+                            state.store(k, candidate)
                     else:
                         status = "rejected"
                         state.rejected_updates += 1
             elapsed += time.perf_counter() - tic
 
             # bookkeeping below is outside the timed region
-            if looping and status == "applied":
-                _check_product(state, prior_msg)
-            cost = np.nan
-            if cost_fn is not None and (
-                visit % config.cost_every == 0 or visit == n_total
-            ):
-                cost = float(cost_fn(state.global_approx.mean))
+            if status == "applied":
+                cost_stale = True
+                if looping:
+                    _check_product(state, prior_msg)
+            due = cost_fn is not None and (visit % config.cost_every == 0 or visit == n_total)
+            if due and cost_stale:
+                cost, cost_stale = float(cost_fn(state.global_approx.mean)), False
             trace.append(
-                TraceRecord(sweep, k, status, cost, elapsed * 1000.0)
+                TraceRecord(sweep, k, status, cost if due else np.nan, elapsed * 1000.0)
             )
+        g = state.global_approx
+        trace.sweeps.append(SweepRecord(
+            sweep,
+            float(np.max(np.abs(g.mean - start.mean))),
+            float(np.max(np.abs(g.precision - start.precision))),
+        ))
     return state, trace
 
 

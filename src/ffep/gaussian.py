@@ -19,6 +19,7 @@ rejected, since only moment conversions require properness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +105,7 @@ class DiagGaussian:
 
     @property
     def is_proper(self) -> bool:
-        return bool(np.all(self.neg_half_precision < 0))
+        return bool((self.neg_half_precision < 0).all())
 
     @property
     def precision(self) -> np.ndarray:
@@ -141,9 +142,9 @@ class DiagGaussian:
 
     def is_finite(self) -> bool:
         return bool(
-            np.isfinite(self.log_scale)
-            and np.all(np.isfinite(self.linear))
-            and np.all(np.isfinite(self.neg_half_precision))
+            math.isfinite(self.log_scale)
+            and np.isfinite(self.linear).all()
+            and np.isfinite(self.neg_half_precision).all()
         )
 
 

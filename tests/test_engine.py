@@ -12,8 +12,11 @@ import pytest
 
 from ffep.engine import (
     EpConfig,
+    EpState,
+    SweepRecord,
     TraceRecord,
     _check_product,
+    _close,
     ep_run,
     ep_run_factors,
     gate_update,
@@ -48,6 +51,11 @@ def gaussian_factor(mean, var, log_mass=0.0):
         log_mass=log_mass,
     )
     return GaussianFactor(g)
+
+
+def hopeless_factor():
+    """Posts a candidate of precision -6 that no posterior here survives."""
+    return GaussianFactor(DiagGaussian(0.0, np.array([0.0]), np.array([3.0])))
 
 
 class FailingFactor:
@@ -206,6 +214,40 @@ class TestEngineMechanics:
         with pytest.raises(RuntimeError, match="drifted from the message product"):
             _check_product(state, prior_msg)
 
+    @pytest.mark.parametrize("field", ["linear", "neg_half_precision", "log_scale"])
+    def test_product_check_raises_on_drift_in_a_stored_row(self, field):
+        rng = np.random.default_rng(43)
+        ds = random_dataset(rng, 20, 2)
+        prior = PriorFactor(variance=25.0)
+        state, _ = ep_run(config("qla", batch_size=5, prior=prior, n_sweeps=2), ds)
+        prior_msg = prior_as_message(prior, 2)
+        _check_product(state, prior_msg)
+
+        getattr(state, field)[2] += 1e-6
+        with pytest.raises(RuntimeError, match="drifted from the message product"):
+            _check_product(state, prior_msg)
+
+    def test_closeness_is_np_allclose_on_finite_values(self):
+        rng = np.random.default_rng(44)
+        b = rng.normal(scale=10.0, size=2000)
+        # offsets straddle the tolerance 1e-9 * (1 + |b|) on either side
+        a = b + rng.choice([-1.0, 1.0], size=b.size) * 1e-9 * (1.0 + np.abs(b)) \
+            * rng.uniform(0.99, 1.01, size=b.size)
+        got = [_close(x, y) for x, y in zip(a, b)]
+        ref = [np.allclose(x, y, rtol=1e-9, atol=1e-9) for x, y in zip(a, b)]
+        assert got == ref
+        assert 0 < sum(got) < len(got)
+        assert _close(a[np.array(got)], b[np.array(got)])
+        assert not _close(a, b)
+
+    def test_product_check_fails_on_nan(self):
+        prior_msg = prior_as_message(PriorFactor(variance=25.0), 2)
+        state = EpState.start(prior_msg, 3)
+        _check_product(state, prior_msg)
+        state.linear[0, 1] = np.nan
+        with pytest.raises(RuntimeError, match="drifted"):
+            _check_product(state, prior_msg)
+
     def test_gate_rejections_are_counted_and_skipped(self):
         # An improper Gaussian factor with quadratic coefficient +0.6 posts a
         # candidate of precision -1.2, overwhelming the unit prior every visit.
@@ -250,6 +292,127 @@ class TestEngineMechanics:
         assert trace.n_visits == 5 * 4
         assert all(b >= a for a, b in zip(ms, ms[1:]))
         assert trace.total_ms == ms[-1]
+
+
+class TestMessageStore:
+    def test_a_fresh_store_holds_unit_messages(self):
+        prior_msg = prior_as_message(PriorFactor(variance=4.0), 3)
+        state = EpState.start(prior_msg, 4)
+        assert state.linear.shape == state.neg_half_precision.shape == (4, 3)
+        assert len(state.messages) == 4
+        for msg in state.messages:
+            assert msg.log_scale == 0.0
+            np.testing.assert_array_equal(msg.linear, np.zeros(3))
+            np.testing.assert_array_equal(msg.neg_half_precision, np.zeros(3))
+        assert EpState.start(prior_msg, None).messages is None
+
+    def test_messages_equal_their_stored_rows(self):
+        factors = [gaussian_factor([0.5], [1.0]), hopeless_factor(),
+                   gaussian_factor([-0.5], [2.0], log_mass=0.3)]
+        cfg = config("qla", prior=PriorFactor(variance=1.0), n_sweeps=2)
+        state, trace = ep_run_factors(factors, 1, cfg)
+        assert [r.update_status for r in trace.records] == [
+            "applied", "rejected", "applied"] * 2
+        msgs = state.messages
+        assert len(msgs) == 3
+        for k, msg in enumerate(msgs):
+            assert msg.log_scale == state.log_scale[k]
+            np.testing.assert_array_equal(msg.linear, state.linear[k])
+            np.testing.assert_array_equal(msg.neg_half_precision,
+                                          state.neg_half_precision[k])
+        # the rejected factor never left the unit message
+        assert msgs[1].log_scale == 0.0
+        assert msgs[1].linear[0] == msgs[1].neg_half_precision[0] == 0.0
+        assert msgs[0].neg_half_precision[0] == pytest.approx(-0.5)
+        assert msgs[2].neg_half_precision[0] == pytest.approx(-0.25)
+
+    def test_messages_are_a_snapshot(self):
+        factors = [gaussian_factor([0.5], [1.0])]
+        state, _ = ep_run_factors(factors, 1, config("la", n_sweeps=1))
+        snapshot = state.messages
+        state.store(0, DiagGaussian.unit(1))
+        assert snapshot[0].neg_half_precision[0] == pytest.approx(-0.5)
+
+
+class TestCostReuse:
+    @staticmethod
+    def counting(fn):
+        calls = []
+
+        def cost_fn(theta):
+            calls.append(theta.copy())
+            return fn(theta)
+
+        return cost_fn, calls
+
+    def test_unchanged_posterior_is_costed_once(self):
+        cost_fn, calls = self.counting(lambda th: 1.0 + th[0])
+        cfg = config("qla", prior=PriorFactor(mean=[0.25], variance=1.0), n_sweeps=3)
+        _, trace = ep_run_factors([hopeless_factor()], 1, cfg, cost_fn=cost_fn)
+        assert [r.update_status for r in trace.records] == ["rejected"] * 3
+        assert len(calls) == 1
+        assert [r.total_cost for r in trace.records] == [1.25] * 3
+
+    def test_applied_updates_are_costed_at_every_due_visit(self):
+        factors = [gaussian_factor([0.5], [1.0]), gaussian_factor([-0.5], [1.0])]
+        cost_fn, calls = self.counting(lambda th: th[0])
+        _, trace = ep_run_factors(factors, 1, config("la", n_sweeps=3),
+                                  cost_fn=cost_fn)
+        assert all(r.update_status == "applied" for r in trace.records)
+        assert len(calls) == trace.n_visits == 6
+        assert [r.total_cost for r in trace.records] == [c[0] for c in calls]
+
+    def test_reuse_spans_thinned_visits(self):
+        # visits 1 and 4 apply, the rest are rejected; of the costs due at
+        # visits 2, 4 and 6 only the last sees the posterior already costed
+        factors = [gaussian_factor([0.5], [1.0]), hopeless_factor(), hopeless_factor()]
+        cost_fn, calls = self.counting(lambda th: th[0])
+        cfg = config("qla", prior=PriorFactor(variance=1.0), n_sweeps=2,
+                     cost_every=2)
+        _, trace = ep_run_factors(factors, 1, cfg, cost_fn=cost_fn)
+        assert [r.update_status for r in trace.records] == [
+            "applied", "rejected", "rejected"] * 2
+        costs = [r.total_cost for r in trace.records]
+        assert [i for i, c in enumerate(costs) if np.isfinite(c)] == [1, 3, 5]
+        assert len(calls) == 2
+        assert costs[1] == costs[3] == costs[5]
+
+
+class TestSweepRecords:
+    def test_conjugate_run_is_stationary_after_the_first_sweep(self):
+        rng = np.random.default_rng(44)
+        d = 3
+        factors = [
+            gaussian_factor(rng.uniform(-1.0, 1.0, size=d),
+                            np.exp(rng.uniform(-0.5, 0.5, size=d)))
+            for _ in range(4)
+        ]
+        for kind in ("la", "qla", "vq"):
+            cfg = config(kind, prior=PriorFactor(variance=4.0), n_sweeps=4)
+            _, trace = ep_run_factors(factors, d, cfg)
+            assert [s.sweep for s in trace.sweeps] == [0, 1, 2, 3]
+            assert all(isinstance(s, SweepRecord) for s in trace.sweeps)
+            first, *later = trace.sweeps
+            assert first.max_mean_change > 0.1
+            assert first.max_precision_change > 1.0
+            for s in later:
+                assert s.max_mean_change <= 1e-12
+                assert s.max_precision_change <= 1e-12
+
+    def test_changes_are_measured_from_the_sweep_start(self):
+        # prior N(0, 4) times N(1, 1): mean moves 0 -> 0.8, precision 0.25 -> 1.25
+        factors = [gaussian_factor([1.0], [1.0])]
+        cfg = config("la", prior=PriorFactor(variance=4.0), n_sweeps=1)
+        _, trace = ep_run_factors(factors, 1, cfg)
+        (rec,) = trace.sweeps
+        assert rec.max_mean_change == pytest.approx(0.8, rel=1e-12)
+        assert rec.max_precision_change == pytest.approx(1.0, rel=1e-12)
+
+    def test_streaming_records_its_single_pass(self):
+        rng = np.random.default_rng(45)
+        ds = random_dataset(rng, 20, 2)
+        _, trace = ep_run(config("qla", batch_size=5, mode="streaming"), ds)
+        assert len(trace.sweeps) == 1 and trace.sweeps[0].max_mean_change > 0
 
 
 class TestStreamingEquivalence:

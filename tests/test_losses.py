@@ -1,5 +1,7 @@
 """Per-example classification losses and their margin derivatives."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,32 @@ class TestValues:
         assert loss_value(logistic(), -big) == pytest.approx(big, rel=1e-12)
         assert loss_value(logistic(), big) == 0.0
         assert np.isfinite(loss_value(logistic(), -1e300))
+
+    def test_logistic_matches_logaddexp(self):
+        rng = np.random.default_rng(2)
+        a = np.concatenate([rng.uniform(-800.0, 800.0, size=1_000_000),
+                            rng.uniform(-10.0, 10.0, size=100_000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = loss_value(logistic(), a)
+        with np.errstate(all="ignore"):
+            ref = np.logaddexp(0.0, -a)
+        normal = ref >= np.finfo(float).tiny
+        assert np.max(np.abs(got - ref)[normal] / ref[normal]) <= 5e-16
+        # below the normal range a last-bit difference is a large relative
+        # one, so there the bound is one unit in the last place
+        assert np.all(np.abs(got - ref)[~normal] <= np.spacing(ref[~normal]))
+
+    def test_logistic_special_values_match_logaddexp(self):
+        a = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0,
+                      1e300, -1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = loss_value(logistic(), a)
+        with np.errstate(all="ignore"):
+            ref = np.logaddexp(0.0, -a)
+        np.testing.assert_array_equal(got, ref)
+        assert got[0] == np.log(2.0)
 
     def test_quasi01_with_unit_epsilon_equals_hinge(self):
         rng = np.random.default_rng(1)
