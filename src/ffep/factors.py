@@ -78,7 +78,9 @@ class BoundFactor:
 
     Exposes the black-box surface the schemes consume: ``log_value`` at one
     point, ``log_value_many`` at a stack of points, and
-    ``log_grad_hessdiag`` for the Laplace-style schemes.
+    ``log_grad_hessdiag`` for the Laplace-style schemes.  ``loss``,
+    ``beta`` and ``Z`` are its margin-space view: log f(theta) =
+    -beta * sum of loss(Z @ theta), for schemes that solve in margin space.
     """
 
     def __init__(self, factor: MiniBatchFactor, dataset):
@@ -87,6 +89,11 @@ class BoundFactor:
         self.y = dataset.labels[factor.batch]
         self.loss = factor.loss
         self.beta = factor.beta
+
+    @property
+    def Z(self) -> np.ndarray:
+        """The rows y_k * x_k, whose products with theta are the margins."""
+        return self.y[:, None] * self.X
 
     def log_value(self, theta) -> float:
         if self.X.shape[0] == 0:

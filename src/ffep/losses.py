@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["LossKind", "logistic", "hinge", "quasi01", "loss_from_name",
-           "loss_value", "loss_derivatives"]
+           "is_piecewise_linear", "loss_value", "loss_derivatives"]
 
 _VALID = ("logistic", "hinge", "quasi01")
 
@@ -58,6 +58,11 @@ def quasi01(epsilon: float = 0.1) -> LossKind:
 def loss_from_name(name: str, epsilon: float = 0.1) -> LossKind:
     """Loss selection by name, as used in run configs and the CLI."""
     return LossKind(name, epsilon) if name == "quasi01" else LossKind(name)
+
+
+def is_piecewise_linear(kind: LossKind) -> bool:
+    """True for the kinked losses, whose curvature is zero away from the kinks."""
+    return kind.name != "logistic"
 
 
 def loss_value(kind: LossKind, a):

@@ -5,8 +5,10 @@ cavity c and a black-box factor f (exposing log-values, and for the
 Laplace-style schemes also gradient/Hessian-diagonal), produce a
 DiagGaussian message g standing in for f.
 
-* ``la``  - Laplace: maximize c*f with damped diagonal Newton, then fit the
-            second-order Taylor expansion of log f at the maximizer.
+* ``la``  - Laplace: find the maximizer of c*f, then fit the second-order
+            Taylor expansion of log f there.  A hinge batch's maximizer
+            solves a box QP exactly; other factors use damped diagonal
+            Newton.  A piecewise-linear loss takes its slope from the mode.
 * ``qla`` - quick Laplace: the same Taylor fit taken at the cavity mean,
             skipping the inner optimization entirely (and therefore
             independent of the cavity variance).
@@ -40,6 +42,7 @@ from .gaussian import (
     eval_log,
     moments_to_natural,
 )
+from .losses import LossKind, is_piecewise_linear
 
 __all__ = [
     "QuadratureRule",
@@ -52,14 +55,21 @@ __all__ = [
     "approx_quick_laplace",
     "approx_gauss_quadrature",
     "approx_variational_quadrature",
-    "surrogate_value_grad_hess",
-    "generalized_kl_diagnostic",
     "approximate",
 ]
 
 _MAX_HALVINGS = 30
 # step lengths tried after a rejected full Newton step: 2^-1, ..., 2^-(_MAX_HALVINGS-1)
 _HALVINGS = 0.5 ** np.arange(1, _MAX_HALVINGS)
+# The hinge QP's active-set iterations, per row of the batch: it starts with
+# no row free, and random batches of up to 300 rows took at most 4 per row.
+_QP_ITER_PER_ROW = 20
+# A row joins the free set when the part of its Q column outside the span of
+# the free rows (its Schur complement) exceeds this share of its Q_jj.
+_QP_DEPENDENT = 1e-10
+# A bound multiplier is optimal when its wrong-signed part is at most this
+# share of the magnitude of the terms it sums.
+_QP_KKT_RTOL = 1e-12
 
 
 class SchemeFailure(RuntimeError):
@@ -75,7 +85,9 @@ class SchemeKind:
     """Scheme selector plus the numeric knobs of the back-ends.
 
     ``newton_tol`` and ``newton_max_iter`` drive ``la``'s inner Newton
-    search; ``gamma`` sets the sigma-point spread of ``gq`` and ``vq``.
+    search, which every factor but a hinge batch takes; the hinge batch's
+    exact QP solve has its own iteration cap.  ``gamma`` sets the
+    sigma-point spread of ``gq`` and ``vq``.
     """
 
     kind: str
@@ -144,12 +156,6 @@ def _log_values(factor, pts: np.ndarray) -> np.ndarray:
     return np.array([factor.log_value(p) for p in pts], dtype=float)
 
 
-def _monomials(pts: np.ndarray) -> np.ndarray:
-    """Design matrix of (1, theta, theta^2) rows for a stack of points."""
-    n = pts.shape[0]
-    return np.hstack([np.ones((n, 1)), pts, pts * pts])
-
-
 # ---------------------------------------------------------------------------
 # Laplace-style schemes
 # ---------------------------------------------------------------------------
@@ -163,23 +169,19 @@ def _taylor_message(theta, value, grad, hessdiag) -> DiagGaussian:
     return DiagGaussian(log_scale, linear, nhp)
 
 
-def approx_laplace(cavity: DiagGaussian, factor, scheme: SchemeKind | None = None) -> DiagGaussian:
-    """Fit the log-factor's Taylor expansion at the maximizer of cavity*factor.
+def _newton_mode(cavity: DiagGaussian, factor, scheme: SchemeKind) -> np.ndarray:
+    """Maximize log(c*f) by damped Newton on its diagonal curvature.
 
-    The inner maximization is damped Newton on the diagonal curvature of
-    log(c*f) (the cavity precision plus the factor's Hessian diagonal),
-    starting from the cavity mean.  Each iteration tries the full Newton
-    step first; if that lowers the objective, the halved steps 2^-1 ...
-    2^-(_MAX_HALVINGS-1) are scored in one batched call and the longest
-    one that does not lower it is taken.  When none qualifies, no ascent
-    is left along the Newton direction and the search has converged.  A
-    full step that lowers the objective by at most 4 ulps is a tie, and
-    the search has converged too: which side of the tie it lands on is
-    rounding, as are the halved steps' values.
+    The curvature is the cavity precision plus the factor's Hessian
+    diagonal, and the search starts from the cavity mean.  Each iteration
+    tries the full Newton step first; if that lowers the objective, the
+    halved steps 2^-1 ... 2^-(_MAX_HALVINGS-1) are scored in one batched
+    call and the longest one that does not lower it is taken.  When none
+    qualifies, no ascent is left along the Newton direction and the search
+    has converged.  A full step that lowers the objective by at most 4 ulps
+    is a tie, and the search has converged too: which side of the tie it
+    lands on is rounding, as are the halved steps' values.
     """
-    scheme = scheme or SchemeKind("la")
-    if not cavity.is_proper:
-        raise ImproperGaussianError("Laplace fitting needs a proper cavity")
     tol = scheme.newton_tol
     theta = cavity.mean.copy()
     lam = cavity.precision  # fallback curvature where the factor is nonconcave
@@ -187,7 +189,6 @@ def approx_laplace(cavity: DiagGaussian, factor, scheme: SchemeKind | None = Non
     if not np.isfinite(obj):
         raise SchemeFailure("objective not finite at the cavity mean")
 
-    converged = False
     for _ in range(scheme.newton_max_iter):
         grad_f, hd_f = factor.log_grad_hessdiag(theta)
         grad = cavity.linear + 2.0 * cavity.neg_half_precision * theta + grad_f
@@ -201,25 +202,139 @@ def approx_laplace(cavity: DiagGaussian, factor, scheme: SchemeKind | None = Non
         val = eval_log(cavity, cand) + factor.log_value(cand)
         if not (np.isfinite(val) and val >= obj):
             if obj - val <= 4.0 * np.spacing(abs(obj)):
-                converged = True  # the full step changes the objective by rounding only
-                break
+                return theta  # the full step changes the objective by rounding only
             cands = theta + _HALVINGS[:, None] * step
             vals = eval_log(cavity, cands) + _log_values(factor, cands)
             ok = np.flatnonzero(np.isfinite(vals) & (vals >= obj))
             if ok.size == 0:
-                converged = True  # no ascent available along the Newton direction
-                break
+                return theta  # no ascent available along the Newton direction
             k = ok[0]
             t, cand, val = _HALVINGS[k], cands[k], vals[k]
         theta, obj = cand, val
         if np.all(np.abs(t * step) <= tol * np.maximum(1.0, np.abs(theta))):
-            converged = True
-            break
-    if not converged:
-        raise SchemeFailure("Laplace maximization did not converge")
+            return theta
+    raise SchemeFailure("Laplace maximization did not converge")
 
+
+def _box_qp(Q: np.ndarray, b: np.ndarray, hi: float) -> np.ndarray:
+    """argmin of 1/2 a.Q.a - a.b over the box [0, hi]^s, Q positive semidefinite.
+
+    A primal-feasible active-set method, started at a = 0.  Each row is
+    free, at 0 or at hi.  A step is the Newton step -Q_FF^-1 g_F on the face
+    that fixes the bound rows, g = Q a - b being the gradient; it stops at
+    the first bound it meets, and that row leaves the free set.  After a
+    full step the free rows are optimal by construction, so only the bound
+    rows' multipliers are checked: the most wrong-signed one is freed, and
+    when none is, a is the minimum.  Freeing row j takes one solve,
+    Q_FF w = Q_Fj, which gives both the test below and the Newton step on
+    the enlarged face: with g_F = 0 it runs along (-w, 1).
+
+    Q may be singular (more rows than dimensions, repeated or zero rows), so
+    the free set is kept to rows with independent Q columns.  A freed row
+    whose column lies in their span gets no Newton step: the direction n
+    that moves it and offsets the free rows has Q n = 0, so the objective
+    falls linearly along it and the step runs to the first bound.
+    """
+    s = b.size
+    a = np.zeros(s)
+    free = np.zeros(s, dtype=bool)
+    abs_q, abs_b = np.abs(Q), np.abs(b)
+    at_face_min = True  # no row is free, and a = 0 sits on its face
+    for _ in range(_QP_ITER_PER_ROW * (s + 1)):
+        rows = np.flatnonzero(free)
+        g = Q @ a - b
+        step = np.zeros(s)
+        if at_face_min:
+            excess = np.where(free, 0.0, np.where(a > 0.0, g, -g))
+            excess -= _QP_KKT_RTOL * (abs_q @ a + abs_b)
+            if not np.any(excess > 0.0):
+                return a
+            j = int(np.argmax(excess))
+            q = w = Q[rows, j]
+            if rows.size:
+                w = np.linalg.solve(Q[rows[:, None], rows], q)
+            free[j] = True
+            step[rows], step[j] = -w, 1.0
+            schur = Q[j, j] - q @ w
+            if schur > _QP_DEPENDENT * Q[j, j]:
+                step *= -g[j] / schur  # the Newton step of the bordered system
+                full = 1.0
+            else:  # the null direction, oriented to move row j off its bound
+                step *= 1.0 if a[j] == 0.0 else -1.0
+                full = np.inf
+        else:
+            step[rows] = -np.linalg.solve(Q[rows[:, None], rows], g[rows])
+            full = 1.0
+        # how far each row can go before it meets the bound it heads for
+        room = np.divide(np.where(step > 0.0, hi, 0.0) - a, step,
+                         out=np.full(s, np.inf), where=step != 0.0)
+        k = int(np.argmin(room))
+        if room[k] >= full:
+            a += step
+            np.clip(a, 0.0, hi, out=a)
+            at_face_min = True
+            continue
+        a += room[k] * step
+        np.clip(a, 0.0, hi, out=a)
+        a[k] = hi if step[k] > 0.0 else 0.0
+        free[k] = False
+        # a null step that carried the freed row to its other bound left the
+        # free rows, the mode and so every multiplier as they were
+        at_face_min = (full == np.inf and k == j) or not free.any()
+    raise SchemeFailure("hinge tilted-mode QP did not converge")
+
+
+def _hinge_mode(cavity: DiagGaussian, Z: np.ndarray, beta: float):
+    """The maximizer of log c(theta) - beta * sum max(0, 1 - Z theta), and its slope.
+
+    This is the linear-SVM primal with the cavity as regularizer (Hsieh et
+    al., ICML 2008, solve the same dual).  With L the cavity precision its
+    dual is the box QP of _box_qp with Q = Z L^-1 Z^T, b = 1 - Z mu and
+    hi = beta; the mode is theta* = mu + L^-1 Z^T a*, unique even where a*
+    is not, and Z^T a* = L (theta* - mu) is the slope at which
+    cavity*message peaks at theta*.
+    """
+    lam, mu = cavity.precision, cavity.mean
+    Q = (Z / lam) @ Z.T
+    b = 1.0 - Z @ mu
+    if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(b))):
+        raise SchemeFailure("non-finite hinge QP")
+    slope = Z.T @ _box_qp(Q, b, beta)
+    return mu + slope / lam, slope
+
+
+def approx_laplace(cavity: DiagGaussian, factor, scheme: SchemeKind | None = None) -> DiagGaussian:
+    """Fit the log-factor's Taylor expansion at the maximizer of cavity*factor.
+
+    A factor with a margin-space view (``loss``, ``beta`` and ``Z``, as
+    ``BoundFactor`` has) on the hinge loss has its maximizer solved exactly
+    as a box QP (_hinge_mode).  Every other factor takes the damped Newton
+    search of _newton_mode, which ``newton_tol`` and ``newton_max_iter``
+    drive.
+
+    On a piecewise-linear loss the mode often sits on kinks, where the
+    factor's one-sided slope is arbitrary and its curvature zero.  The
+    message then takes the mode-consistent slope L (theta* - mu), with L
+    and mu the cavity's precision and mean, so that cavity*message peaks at
+    theta*, and zero curvature.  Smooth and black-box factors take their own
+    gradient and Hessian diagonal at theta*.
+    """
+    scheme = scheme or SchemeKind("la")
+    if not cavity.is_proper:
+        raise ImproperGaussianError("Laplace fitting needs a proper cavity")
+    loss = getattr(factor, "loss", None)
+    kinked = isinstance(loss, LossKind) and is_piecewise_linear(loss)
+    if kinked and loss.name == "hinge":
+        theta, grad_f = _hinge_mode(cavity, factor.Z, factor.beta)
+    else:
+        theta = _newton_mode(cavity, factor, scheme)
+        if kinked:
+            grad_f = -(cavity.linear + 2.0 * cavity.neg_half_precision * theta)
     value = factor.log_value(theta)
-    grad_f, hd_f = factor.log_grad_hessdiag(theta)
+    if kinked:
+        hd_f = np.zeros_like(theta)
+    else:
+        grad_f, hd_f = factor.log_grad_hessdiag(theta)
     msg = _taylor_message(theta, value, grad_f, hd_f)
     if not msg.is_finite():
         raise SchemeFailure("non-finite Laplace message")
@@ -284,41 +399,16 @@ def approx_gauss_quadrature(cavity: DiagGaussian, factor,
 # ---------------------------------------------------------------------------
 
 
-def surrogate_value_grad_hess(alpha: np.ndarray, rule: QuadratureRule, F: np.ndarray):
-    """Value, gradient and Hessian of the quadrature-discretized KL surrogate.
-
-    With Phi the (1, theta, theta^2) design matrix over the rule's points and
-    F the (nonnegative, finite) factor values there:
-
-        L(alpha)  = -alpha . Phi^T (w F) + sum_j w_j exp(Phi_j . alpha)
-        grad      = Phi^T (w exp(Phi alpha)) - Phi^T (w F)
-        hess      = Phi^T diag(w exp(Phi alpha)) Phi
-
-    approx_variational_quadrature returns the stationary point in closed
-    form; this function is the oracle that checks it.  Exponents beyond
-    ~709 overflow to inf.
-    """
-    phi = _monomials(rule.points)
-    alpha = np.asarray(alpha, dtype=float)
-    b = phi.T @ (rule.weights * np.asarray(F, dtype=float))
-    with np.errstate(over="ignore"):
-        e = np.exp(phi @ alpha)
-    we = rule.weights * e
-    value = -float(alpha @ b) + float(np.sum(we))
-    grad = phi.T @ we - b
-    hess = phi.T @ (we[:, None] * phi)
-    return value, grad, hess
-
-
 def approx_variational_quadrature(cavity: DiagGaussian, factor,
                                   scheme: SchemeKind | None = None) -> DiagGaussian:
     """Interpolate the log-factor in log space at the sigma points.
 
     The rule has 2d+1 points and the quadrature-discretized generalized KL
-    surrogate (surrogate_value_grad_hess) 2d+1 monomials, so the design
-    matrix is square and invertible and the surrogate is stationary exactly
-    where exp(Phi alpha) equals the factor values: the log-quadratic through
-    the center and the two spokes of every axis.  With positive weights that
+    surrogate 2d+1 monomials (the test oracle ``surrogate_value_grad_hess``
+    in ``tests/oracles.py`` evaluates it), so the design matrix is square
+    and invertible and the surrogate is stationary exactly where
+    exp(Phi alpha) equals the factor values: the log-quadratic through the
+    center and the two spokes of every axis.  With positive weights that
     point is the surrogate's minimizer.  In cavity-standardized coordinates
     z = (theta - mu)/sigma, with l the max-shifted log-factor values, that
     is c0 = l_0, b_i = (l_+i - l_-i)/(2 gamma) and
@@ -355,29 +445,8 @@ def approx_variational_quadrature(cavity: DiagGaussian, factor,
 
 
 # ---------------------------------------------------------------------------
-# Diagnostics and dispatch
+# Dispatch
 # ---------------------------------------------------------------------------
-
-
-def generalized_kl_diagnostic(cavity: DiagGaussian, factor, message: DiagGaussian,
-                              rule: QuadratureRule | None = None) -> float:
-    """Quadrature estimate of the generalized KL divergence D(c*f || c*g).
-
-    Diagnostic only; never drives updates.  Non-finite results are returned
-    as such.
-    """
-    rule = rule or build_rule(cavity)
-    logf = _log_values(factor, rule.points)
-    logg = eval_log(message, rule.points)
-    shift = max(float(np.max(logf)), float(np.max(logg)))
-    if not np.isfinite(shift):
-        return 0.0
-    f = np.exp(logf - shift)
-    g = np.exp(logg - shift)
-    ratio = np.where(f > 0, f * (logf - logg), 0.0)
-    total = float(np.sum(rule.weights * (ratio - f + g)))
-    with np.errstate(over="ignore"):
-        return float(np.exp(shift + cavity.log_mass)) * total
 
 
 _DISPATCH = {

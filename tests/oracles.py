@@ -17,6 +17,8 @@ __all__ = [
     "maximize_1d",
     "solve_scalar",
     "grid_min_2d",
+    "concave_argmax",
+    "surrogate_value_grad_hess",
 ]
 
 
@@ -75,6 +77,37 @@ def maximize_1d(fun, lo, hi, n=20_001):
     return float(res.x)
 
 
+def concave_argmax(fun, lo, hi, d, n=401):
+    """Argmax of a concave function of one or two variables over [lo, hi]^d.
+
+    ``fun`` maps a stack of points, shape (m, d), to m values.  In 1-D a
+    grid point at least as high as both neighbours brackets the maximum
+    of a concave function, so maximize_1d's grid plus bounded refinement
+    finds it.  In 2-D the profile max over theta_2 of fun(theta_1, theta_2)
+    is concave in theta_1 too, so two nested 1-D searches find it.
+    """
+
+    def along(points):  # a 1-D function of t from a map t -> points
+        def f(t):
+            values = fun(points(np.ravel(t)))
+            return values if np.ndim(t) else float(values[0])
+        return f
+
+    if d == 1:
+        return np.array([maximize_1d(along(lambda t: t[:, None]), lo, hi, n)])
+
+    def inner(t1):
+        return maximize_1d(
+            along(lambda t: np.column_stack([np.full(t.size, t1), t])), lo, hi, n)
+
+    def profile(t1):
+        return fun(np.array([[t1, inner(t1)]]))[0]
+
+    t1 = maximize_1d(lambda t: np.array([profile(x) for x in t]) if np.ndim(t) else profile(t),
+                     lo, hi, n)
+    return np.array([t1, inner(t1)])
+
+
 def solve_scalar(fun, lo, hi):
     """Root of a scalar sign-changing function by Brent bracketing."""
     return float(brentq(fun, lo, hi, xtol=1e-14))
@@ -90,3 +123,35 @@ def grid_min_2d(cost, lo, hi, n=200):
             if v < best:
                 best = v
     return float(best)
+
+
+def _monomials(pts):
+    """Design matrix of (1, theta, theta^2) rows for a stack of points."""
+    n = pts.shape[0]
+    return np.hstack([np.ones((n, 1)), pts, pts * pts])
+
+
+def surrogate_value_grad_hess(alpha, rule, F):
+    """Value, gradient and Hessian of the quadrature-discretized KL surrogate.
+
+    With Phi the (1, theta, theta^2) design matrix over the rule's points,
+    w the rule's weights and F the (nonnegative, finite) factor values there:
+
+        L(alpha)  = -alpha . Phi^T (w F) + sum_j w_j exp(Phi_j . alpha)
+        grad      = Phi^T (w exp(Phi alpha)) - Phi^T (w F)
+        hess      = Phi^T diag(w exp(Phi alpha)) Phi
+
+    approx_variational_quadrature returns the stationary point in closed
+    form; this is the oracle that checks it.  Exponents beyond ~709
+    overflow to inf.
+    """
+    phi = _monomials(rule.points)
+    alpha = np.asarray(alpha, dtype=float)
+    b = phi.T @ (rule.weights * np.asarray(F, dtype=float))
+    with np.errstate(over="ignore"):
+        e = np.exp(phi @ alpha)
+    we = rule.weights * e
+    value = -float(alpha @ b) + float(np.sum(we))
+    grad = phi.T @ we - b
+    hess = phi.T @ (we[:, None] * phi)
+    return value, grad, hess

@@ -45,10 +45,9 @@ from ffep.schemes import (
     approximate,
     build_rule,
     default_gamma,
-    surrogate_value_grad_hess,
 )
 
-from oracles import dense_kl_1d, dense_moments_1d, log_gauss_1d
+from oracles import dense_kl_1d, dense_moments_1d, log_gauss_1d, surrogate_value_grad_hess
 from test_schemes import quadrature_moments
 
 PRIOR = PriorFactor(variance=25.0)

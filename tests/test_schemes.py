@@ -17,7 +17,7 @@ from ffep.gaussian import (
     multiply,
 )
 from ffep.ingest import Dataset
-from ffep.losses import hinge, logistic, quasi01
+from ffep.losses import hinge, is_piecewise_linear, logistic, quasi01
 from ffep.schemes import (
     _MAX_HALVINGS,
     _taylor_message,
@@ -31,12 +31,16 @@ from ffep.schemes import (
     approximate,
     build_rule,
     default_gamma,
-    generalized_kl_diagnostic,
     scheme_from_name,
-    surrogate_value_grad_hess,
 )
 
-from oracles import dense_kl_1d, dense_moments_1d, log_gauss_1d
+from oracles import (
+    concave_argmax,
+    dense_kl_1d,
+    dense_moments_1d,
+    log_gauss_1d,
+    surrogate_value_grad_hess,
+)
 
 # Frozen from a 1-D root-finding oracle: theta* solving theta = 1/(1+e^theta),
 # the maximizer of -theta^2/2 - log(1+e^-theta), and the curvature
@@ -90,6 +94,22 @@ def quadrature_moments(cavity, factor):
     wf = rule.weights * np.exp(logf) * float(np.exp(cavity.log_mass))
     return MomentVector(float(np.sum(wf)), wf @ rule.points,
                         wf @ (rule.points * rule.points))
+
+
+def generalized_kl_diagnostic(cavity, factor, message):
+    """Sigma-point estimate of the generalized KL divergence D(c*f || c*g)."""
+    rule = build_rule(cavity)
+    logf = factor.log_value_many(rule.points)
+    logg = eval_log(message, rule.points)
+    shift = max(float(np.max(logf)), float(np.max(logg)))
+    if not np.isfinite(shift):
+        return 0.0
+    f = np.exp(logf - shift)
+    g = np.exp(logg - shift)
+    ratio = np.where(f > 0, f * (logf - logg), 0.0)
+    total = float(np.sum(rule.weights * (ratio - f + g)))
+    with np.errstate(over="ignore"):
+        return float(np.exp(shift + cavity.log_mass)) * total
 
 
 def gauss_raw_moment(mu, var, p):
@@ -221,7 +241,9 @@ def stepwise_laplace(cavity, factor, scheme=None):
     The same Newton iteration, trying t = 1, 1/2, 1/4, ... with one factor
     call each and stopping at the first ascent, or converging when the full
     step ties the objective to 4 ulps: the reference the batched line search
-    must match.
+    must match.  A factor with a piecewise-linear ``loss`` gets the
+    mode-consistent slope, as in approx_laplace; hinge batches must be
+    wrapped in BlackBoxFactor to reach the search at all.
     """
     scheme = scheme or SchemeKind("la")
     tol = scheme.newton_tol
@@ -262,6 +284,10 @@ def stepwise_laplace(cavity, factor, scheme=None):
 
     value = factor.log_value(theta)
     grad_f, hd_f = factor.log_grad_hessdiag(theta)
+    loss = getattr(factor, "loss", None)
+    if loss is not None and is_piecewise_linear(loss):
+        grad_f = -(cavity.linear + 2.0 * cavity.neg_half_precision * theta)
+        hd_f = np.zeros_like(theta)
     msg = _taylor_message(theta, value, grad_f, hd_f)
     if not msg.is_finite():
         raise SchemeFailure("non-finite Laplace message")
@@ -279,6 +305,14 @@ class LogValueOnlyFactor:
 
     def log_grad_hessdiag(self, theta):
         return self.factor.log_grad_hessdiag(theta)
+
+
+class BlackBoxFactor(LogValueOnlyFactor):
+    """A data batch without its margin-space view: approx_laplace takes the
+    Newton search and the factor's own slope on it, whatever the loss."""
+
+    def log_value_many(self, thetas):
+        return self.factor.log_value_many(thetas)
 
 
 class TiedStepFactor:
@@ -354,6 +388,8 @@ class TestLaplaceLineSearch:
         for start in range(0, synthetic_dataset.n_examples, 10):
             batch = np.arange(start, min(start + 10, synthetic_dataset.n_examples))
             factor = bind(MiniBatchFactor(batch, loss), synthetic_dataset)
+            if loss.name == "hinge":
+                factor = BlackBoxFactor(factor)
             cavity = random_cavity(rng, d, log_var_range=(-1.5, 3.2), mean_scale=5.0)
             assert_same_laplace_outcome(cavity, factor)
         if loss.name != "logistic":
@@ -390,9 +426,9 @@ class TestLaplaceLineSearch:
             assert_same_laplace_outcome(cavity, LogValueOnlyFactor(factor))
         assert batched_calls  # the per-point fallback scored the halvings
 
-    def test_looping_hinge_run_matches_stepwise_search(self, synthetic_dataset,
-                                                       monkeypatch):
-        cfg = EpConfig(scheme=SchemeKind("la"), loss=hinge(), batch_size=10)
+    def test_looping_quasi01_run_matches_stepwise_search(self, synthetic_dataset,
+                                                         monkeypatch):
+        cfg = EpConfig(scheme=SchemeKind("la"), loss=quasi01(), batch_size=10)
         state, trace = ep_run(cfg, synthetic_dataset)
         monkeypatch.setitem(schemes._DISPATCH, "la", stepwise_laplace)
         ref_state, ref_trace = ep_run(cfg, synthetic_dataset)
@@ -402,6 +438,152 @@ class TestLaplaceLineSearch:
         np.testing.assert_allclose(g.linear, ref.linear, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(g.neg_half_precision, ref.neg_half_precision,
                                    rtol=1e-12, atol=1e-12)
+
+
+def hinge_batch(Z_rows, beta=1.0):
+    """A hinge factor whose rows y_k x_k are ``Z_rows`` (labels all +1)."""
+    Z_rows = np.atleast_2d(np.asarray(Z_rows, dtype=float))
+    ds = Dataset(features=Z_rows, labels=np.ones(len(Z_rows)))
+    return bind(MiniBatchFactor(np.arange(len(Z_rows)), hinge(), beta), ds)
+
+
+def tilted_mode(cavity, factor):
+    """The mode approx_laplace's message puts the tilted posterior at."""
+    return multiply(cavity, approx_laplace(cavity, factor)).mean
+
+
+class TestHingeMode:
+    """la on hinge batches: the tilted mode solved as a box QP."""
+
+    @pytest.mark.parametrize("beta", [1.0, 50.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_mode_matches_dense_oracle(self, d, beta):
+        rng = np.random.default_rng(60 + d)
+        for _ in range(3):
+            s = int(rng.integers(2, 6))
+            rows = rng.normal(size=(s, d)) * np.where(rng.random((s, 1)) < 0.5, -1.0, 1.0)
+            rows[-1] = rows[0]  # a repeated row makes Q singular
+            factor = hinge_batch(rows, beta)
+            cavity = random_cavity(rng, d)
+            mode = tilted_mode(cavity, factor)
+
+            def log_tilted(pts):
+                return eval_log(cavity, pts) + factor.log_value_many(pts)
+
+            oracle = concave_argmax(log_tilted, -12.0, 12.0, d)
+            best = log_tilted(mode[None])[0]
+            # no point the oracle finds is higher, beyond rounding ...
+            assert log_tilted(oracle[None])[0] <= best + 1e-12 * abs(best)
+            # ... and it lands where the mode is, to the nested search's precision
+            np.testing.assert_allclose(oracle, mode, atol=1e-3)
+
+    @pytest.mark.parametrize("beta", [1.0, 50.0])
+    def test_kkt_conditions_on_every_synthetic306_batch(self, synthetic_dataset, beta):
+        """s = 10 rows in d = 4 dimensions, so Q is singular on every full batch."""
+        rng = np.random.default_rng(61)
+        n, d = synthetic_dataset.n_examples, synthetic_dataset.dim
+        sizes = []
+        for start in range(0, n, 10):
+            factor = bind(MiniBatchFactor(np.arange(start, min(start + 10, n)), hinge(), beta),
+                          synthetic_dataset)
+            cavity = random_cavity(rng, d, log_var_range=(-1.5, 3.2), mean_scale=5.0)
+            Z, lam, mu = factor.Z, cavity.precision, cavity.mean
+            Q, b = (Z / lam) @ Z.T, 1.0 - Z @ mu
+            alpha = schemes._box_qp(Q, b, beta)
+            sizes.append(len(b))
+
+            assert np.all((alpha >= 0.0) & (alpha <= beta))
+            g = Q @ alpha - b  # margin - 1 at the mode
+            tol = 1e-11 * (np.abs(Q) @ alpha + np.abs(b))
+            free = (alpha > 0.0) & (alpha < beta)
+            assert np.all(np.abs(g[free]) <= tol[free])
+            assert np.all(g[alpha == 0.0] >= -tol[alpha == 0.0])
+            assert np.all(g[alpha == beta] <= tol[alpha == beta])
+            # cavity * message peaks at theta* = mu + Z^T alpha / lambda
+            np.testing.assert_allclose(tilted_mode(cavity, factor), mu + Z.T @ alpha / lam,
+                                       rtol=1e-12, atol=1e-12)
+        assert sizes == [10] * 30 + [6]  # the remainder batch is checked too
+        assert np.linalg.matrix_rank(Q) < len(b)
+
+    def test_single_example_is_the_clipped_closed_form(self):
+        rng = np.random.default_rng(62)
+        for beta in (1.0, 50.0):
+            for _ in range(10):
+                d = int(rng.integers(1, 5))
+                z = rng.normal(size=d)
+                cavity = random_cavity(rng, d)
+                # maximize over t: the cavity at mu + t z / lambda, minus beta * hinge
+                v = z @ (z / cavity.precision)
+                t = np.clip((1.0 - z @ cavity.mean) / v, 0.0, beta)
+                np.testing.assert_allclose(tilted_mode(cavity, hinge_batch(z, beta)),
+                                           cavity.mean + t * z / cavity.precision,
+                                           rtol=1e-12, atol=1e-12)
+
+    def test_zero_row_leaves_the_mode_and_costs_beta(self):
+        rng = np.random.default_rng(63)
+        cavity = random_cavity(rng, 3)
+        rows = rng.normal(size=(4, 3))
+        with_zero = np.vstack([rows[:2], np.zeros(3), rows[2:]])
+        plain = approx_laplace(cavity, hinge_batch(rows, 50.0))
+        zero = approx_laplace(cavity, hinge_batch(with_zero, 50.0))
+        np.testing.assert_allclose(zero.linear, plain.linear, rtol=1e-12, atol=1e-12)
+        assert zero.log_scale == pytest.approx(plain.log_scale - 50.0, rel=1e-12)
+        np.testing.assert_array_equal(zero.neg_half_precision, 0.0)
+
+    def test_repeated_rows_act_as_one_row_with_summed_beta(self):
+        rng = np.random.default_rng(64)
+        for _ in range(10):
+            d = int(rng.integers(1, 5))
+            rows = rng.normal(size=(3, d))
+            cavity = random_cavity(rng, d)
+            twice = hinge_batch(np.vstack([rows, rows]), 1.0)
+            np.testing.assert_allclose(tilted_mode(cavity, twice),
+                                       tilted_mode(cavity, hinge_batch(rows, 2.0)),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_iteration_cap_raises_scheme_failure(self, monkeypatch):
+        monkeypatch.setattr(schemes, "_QP_ITER_PER_ROW", 0)
+        cavity = DiagGaussian.from_mean_var([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(SchemeFailure, match="did not converge"):
+            approx_laplace(cavity, hinge_batch([[1.0, 0.5], [-0.3, 1.0]]))
+
+
+# The looping la/logistic posterior on synthetic306 (batches of 10, five
+# sweeps, the default prior), recorded bit for bit from the Newton path
+# before hinge batches had their own solver: the logistic path must not move.
+LA_LOGISTIC_POSTERIOR = (
+    "-0x1.b320ee82e9f0ep+7",
+    ("-0x1.6459293a38ef9p+0", "0x1.0bb18dc3acc03p-2", "-0x1.36acd18a50e33p+1",
+     "0x1.d4189798486d5p+5"),
+    ("-0x1.b54f8e3fa22e2p-4", "-0x1.af18813308fd6p-4", "-0x1.ca0c834d35c89p-4",
+     "-0x1.a59e2945392acp+4"),
+)
+
+
+class TestLaplaceOnSynthetic306:
+    def test_hinge_run_applies_every_visit_and_nears_the_reference(self, synthetic_dataset):
+        from ffep.bench import reference_newton_logistic, reference_powell, total_cost
+        from ffep.factors import PriorFactor
+
+        prior = PriorFactor(variance=25.0)
+        theta0 = reference_newton_logistic(synthetic_dataset, prior)
+        reference = total_cost(
+            reference_powell(synthetic_dataset, hinge(), theta0, prior).theta,
+            synthetic_dataset, hinge())
+        cfg = EpConfig(scheme=SchemeKind("la"), loss=hinge(), batch_size=10, prior=prior)
+        _, trace = ep_run(cfg, synthetic_dataset)
+        assert [r.update_status for r in trace.records].count("scheme_failed") == 0
+        final = trace.records[-1].total_cost
+        assert abs(final - reference) <= 0.05 * reference
+
+    def test_logistic_posterior_is_unchanged(self, synthetic_dataset):
+        cfg = EpConfig(scheme=SchemeKind("la"), loss=logistic(), batch_size=10)
+        state, _ = ep_run(cfg, synthetic_dataset)
+        g = state.global_approx
+        log_scale, linear, nhp = LA_LOGISTIC_POSTERIOR
+        assert g.log_scale == float.fromhex(log_scale)
+        np.testing.assert_array_equal(g.linear, [float.fromhex(x) for x in linear])
+        np.testing.assert_array_equal(g.neg_half_precision, [float.fromhex(x) for x in nhp])
 
 
 class TestQuickLaplace:
