@@ -2,7 +2,10 @@
 
 The reference minimizers target the same objective EP carries implicitly:
 total classification cost plus the Gaussian prior's quadratic term (theta^T
-theta / (2 * variance) for a centered prior).  Trace files instead report the
+theta / (2 * variance) for a centered prior).  Logistic cost is minimized by
+Newton's method; the piecewise-linear hinge and quasi 0-1 costs by Powell's
+direction set, whose line searches are exact because the objective along a
+line is piecewise quadratic.  Trace files instead report the
 classification cost alone, which is how training curves are usually drawn;
 manifests record both numbers so the two views can always be reconciled.
 
@@ -29,7 +32,7 @@ import numpy as np
 from .engine import EpConfig, EpTrace, ep_run
 from .factors import PriorFactor
 from .ingest import ColumnSchema, Dataset, load_csv, preprocess
-from .losses import LossKind, loss_derivatives, loss_value
+from .losses import LossKind, loss_derivatives, loss_kinks, loss_value
 from .schemes import SchemeKind
 
 __all__ = [
@@ -107,160 +110,65 @@ class PowellResult:
     n_line_searches: int
 
 
-# numpy port of scipy.optimize's bracket and Brent.optimize (BSD-3-Clause), as
-# minimize_scalar(method="brent", bracket=(0, 1)) runs them
-_GOLD = 1.618034
-_CG = 0.3819660
-_MINTOL = 1e-11
-_GROW_LIMIT = 110.0
-_BRACKET_MAX_ITER = 1000
-_BRENT_MAX_ITER = 500
-_BRENT_XTOL = 1e-10
+def _line_minimize(objective, Z, kinks, prior: PriorFactor, theta, direction, f0):
+    """Exact minimization of t -> objective(theta + t*direction); never moves uphill.
 
-
-def _bracket(g, xa, xb):
-    """Downhill search from xa, xb for xa, xb, xc with g(xb) below both ends.
-
-    Returns the three points and their values, which may not bracket a
-    minimum (the caller checks); raises RuntimeError past the iteration cap.
+    The margins along the line are a + t*b, with a = Z theta and b = Z
+    direction, so the loss sum is piecewise linear in t: where margin k
+    crosses a kink, at t = (kink - a_k) / b_k, its slope jumps by jump * |b_k|.
+    The prior adds c1*t + c2*t^2 with c2 > 0, so the minimum is the best of
+    the segments' vertices, each clipped to its segment.  That point is kept
+    only when ``objective`` there is below ``f0``.
     """
-    fa, fb = g(xa), g(xb)
-    if fa < fb:
-        xa, xb, fa, fb = xb, xa, fb, fa
-    xc = xb + _GOLD * (xb - xa)
-    fc = g(xc)
-    it = 0
-    while fc < fb:
-        tmp1 = (xb - xa) * (fb - fc)
-        tmp2 = (xb - xc) * (fb - fa)
-        val = tmp2 - tmp1
-        denom = 2e-21 if np.abs(val) < 1e-21 else 2.0 * val
-        w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
-        wlim = xb + _GROW_LIMIT * (xc - xb)
-        if it > _BRACKET_MAX_ITER:
-            raise RuntimeError("no bracket within the iteration limit")
-        it += 1
-        if (w - xc) * (xb - w) > 0.0:
-            fw = g(w)
-            if fw < fc:
-                xa, xb, fa, fb = xb, w, fb, fw
-                break
-            elif fw > fb:
-                xc, fc = w, fw
-                break
-            w = xc + _GOLD * (xc - xb)
-            fw = g(w)
-        elif (w - wlim) * (wlim - xc) >= 0.0:
-            w = wlim
-            fw = g(w)
-        elif (w - wlim) * (xc - w) > 0.0:
-            fw = g(w)
-            if fw < fc:
-                xb, xc = xc, w
-                w = xc + _GOLD * (xc - xb)
-                fb, fc = fc, fw
-                fw = g(w)
-        else:
-            w = xc + _GOLD * (xc - xb)
-            fw = g(w)
-        xa, xb, xc = xb, xc, w
-        fa, fb, fc = fb, fc, fw
-    return xa, xb, xc, fa, fb, fc
-
-
-def _brent(g):
-    """Brent's minimization of g from the bracket search at (0, 1).
-
-    Without a valid bracket it returns the best of the three points the
-    search ended on (NaN when any of them is NaN), as scipy does.
-    """
-    xa, xb, xc, fa, fb, fc = _bracket(g, np.float64(0.0), np.float64(1.0))
-    if not (((fb < fc and fb <= fa) or (fb < fa and fb <= fc))
-            and (xa < xb < xc or xc < xb < xa)
-            and np.isfinite(xa) and np.isfinite(xb) and np.isfinite(xc)):
-        xs, fs = [xa, xb, xc], [fa, fb, fc]
-        if np.any(np.isnan([xs, fs])):
-            return np.nan, np.nan
-        i = int(np.argmin(fs))
-        return xs[i], fs[i]
-
-    x = w = v = xb
-    fx = fw = fv = fb
-    a, b = (xa, xc) if xa < xc else (xc, xa)
-    deltax = rat = 0.0
-    for _ in range(_BRENT_MAX_ITER):
-        tol1 = _BRENT_XTOL * np.abs(x) + _MINTOL
-        tol2 = 2.0 * tol1
-        xmid = 0.5 * (a + b)
-        if np.abs(x - xmid) < (tol2 - 0.5 * (b - a)):
-            break
-        if np.abs(deltax) <= tol1:
-            deltax = a - x if x >= xmid else b - x  # golden-section step
-            rat = _CG * deltax
-        else:  # parabolic step
-            tmp1 = (x - w) * (fx - fv)
-            tmp2 = (x - v) * (fx - fw)
-            p = (x - v) * tmp2 - (x - w) * tmp1
-            tmp2 = 2.0 * (tmp2 - tmp1)
-            if tmp2 > 0.0:
-                p = -p
-            tmp2 = np.abs(tmp2)
-            dx_temp = deltax
-            deltax = rat
-            if (p > tmp2 * (a - x) and p < tmp2 * (b - x)
-                    and np.abs(p) < np.abs(0.5 * tmp2 * dx_temp)):
-                rat = p / tmp2
-                u = x + rat
-                if (u - a) < tol2 or (b - u) < tol2:
-                    rat = tol1 if xmid - x >= 0 else -tol1
-            else:
-                deltax = a - x if x >= xmid else b - x
-                rat = _CG * deltax
-        if np.abs(rat) < tol1:  # move by at least tol1
-            u = x + tol1 if rat >= 0 else x - tol1
-        else:
-            u = x + rat
-        fu = g(u)
-        if fu > fx:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, w, fv, fw = w, u, fw, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        else:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, w, x = w, x, u
-            fv, fw, fx = fw, fx, fu
-    return x, fx
-
-
-def _line_minimize(objective, theta, direction, f0):
-    """Brent minimization of t -> objective(theta + t*direction); never moves uphill."""
-    try:
-        t, ft = _brent(lambda t: objective(theta + t * direction))
-    except RuntimeError:
-        return theta, f0
-    if not (np.isfinite(t) and np.isfinite(ft)) or ft >= f0:
-        return theta, f0
-    return theta + float(t) * direction, float(ft)
+    left_slope, kink_at, jumps = kinks
+    a, b = Z @ theta, Z @ direction
+    a, b = a[b != 0], b[b != 0]
+    breaks = ((kink_at[:, None] - a) / b).ravel()
+    order = np.argsort(breaks)
+    breaks = breaks[order]
+    mean = 0.0 if prior.mean is None else prior.mean
+    c1 = float((theta - mean) @ direction) / prior.variance
+    c2 = float(direction @ direction) / (2.0 * prior.variance)
+    # slopes[j] is the slope of the loss sum plus c1*t between breaks[j-1] and
+    # breaks[j].  Left of every breakpoint, margins with b > 0 lie left of
+    # every kink and those with b < 0 right of every kink.
+    far_left = left_slope * b.sum() + jumps.sum() * b[b < 0].sum()
+    slopes = np.cumsum(np.concatenate(
+        ([c1 + far_left], (jumps[:, None] * np.abs(b)).ravel()[order])))
+    # The linear part's change from t = 0 to each breakpoint, summed outward
+    # from the segment holding 0 so that far breakpoints add no rounding near it.
+    k0 = int(np.searchsorted(breaks, 0.0))
+    right = np.cumsum(slopes[k0:-1] * np.diff(breaks[k0:], prepend=0.0))
+    left = np.cumsum(slopes[k0:0:-1] * np.diff(breaks[:k0][::-1], prepend=0.0))[::-1]
+    edges = np.concatenate(([-np.inf], breaks, [np.inf]))
+    t = np.clip(-slopes / (2.0 * c2), edges[:-1], edges[1:])
+    change = (np.concatenate((left, [0.0], right))
+              + slopes * (t - np.insert(breaks, k0, 0.0)) + c2 * t * t)
+    best = int(np.argmin(change))
+    if change[best] < 0.0:
+        moved = theta + float(t[best]) * direction
+        f = objective(moved)
+        if f < f0:
+            return moved, f
+    return theta, f0
 
 
 def reference_powell(dataset: Dataset, loss: LossKind, theta_init,
                      prior: PriorFactor | None = None) -> PowellResult:
     """Powell direction-set minimization of total cost plus the prior term.
 
-    Derivative-free, so it serves the nonsmooth losses; by convention
-    ``theta_init`` is the logistic Newton solution.  Stops when a full cycle
-    changes the cost by less than 1e-8 relative, or after 100*d line
-    searches (returning the best point found, flagged as unconverged).
+    Serves the piecewise-linear losses, hinge and quasi 0-1, and raises
+    ValueError on the smooth logistic one.  Each line is minimized exactly
+    (its global minimum, also on the nonconvex quasi 0-1 loss); by
+    convention ``theta_init`` is the logistic Newton solution.  Stops when a
+    full cycle changes the cost by less than 1e-8 relative, or after 100*d
+    line searches (returning the best point found, flagged as unconverged).
     """
+    kinks = loss_kinks(loss)
+    if kinks is None:
+        raise ValueError(f"Powell needs a piecewise-linear loss, not {loss.name}")
     prior = prior or PriorFactor()
+    Z = dataset.labels[:, None] * dataset.features
 
     def objective(t):
         return total_cost(t, dataset, loss, prior)
@@ -277,7 +185,7 @@ def reference_powell(dataset: Dataset, loss: LossKind, theta_init,
         biggest_drop, drop_index = 0.0, -1
         for i, u in enumerate(dirs):
             f_before = f0
-            theta, f0 = _line_minimize(objective, theta, u, f0)
+            theta, f0 = _line_minimize(objective, Z, kinks, prior, theta, u, f0)
             n_ls += 1
             if f_before - f0 > biggest_drop:
                 biggest_drop, drop_index = f_before - f0, i
@@ -298,7 +206,7 @@ def reference_powell(dataset: Dataset, loss: LossKind, theta_init,
                     - biggest_drop * (f_start - f_extrap) ** 2
                 )
                 if test < 0.0:
-                    theta, f0 = _line_minimize(objective, theta, composite, f0)
+                    theta, f0 = _line_minimize(objective, Z, kinks, prior, theta, composite, f0)
                     n_ls += 1
                     dirs[drop_index] = dirs[-1]
                     dirs[-1] = composite

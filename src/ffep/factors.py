@@ -78,44 +78,28 @@ class BoundFactor:
 
     Exposes the black-box surface the schemes consume: ``log_value`` at one
     point, ``log_value_many`` at a stack of points, and
-    ``log_grad_hessdiag`` for the Laplace-style schemes.  ``loss``,
-    ``beta`` and ``Z`` are its margin-space view: log f(theta) =
+    ``log_grad_hessdiag`` for the Laplace-style schemes.  ``loss``, ``beta``
+    and ``Z`` (rows y_k * x_k) are its margin-space view: log f(theta) =
     -beta * sum of loss(Z @ theta), for schemes that solve in margin space.
     """
 
     def __init__(self, factor: MiniBatchFactor, dataset):
         self.factor = factor
-        self.X = dataset.features[factor.batch]
-        self.y = dataset.labels[factor.batch]
+        self.Z = dataset.labels[factor.batch, None] * dataset.features[factor.batch]
         self.loss = factor.loss
         self.beta = factor.beta
 
-    @property
-    def Z(self) -> np.ndarray:
-        """The rows y_k * x_k, whose products with theta are the margins."""
-        return self.y[:, None] * self.X
-
     def log_value(self, theta) -> float:
-        if self.X.shape[0] == 0:
-            return 0.0
-        a = self.y * (self.X @ theta)
-        return -self.beta * float(np.sum(loss_value(self.loss, a)))
+        return -self.beta * float(np.sum(loss_value(self.loss, self.Z @ theta)))
 
     def log_value_many(self, thetas) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
-        if self.X.shape[0] == 0:
-            return np.zeros(thetas.shape[0])
-        a = self.y[None, :] * (thetas @ self.X.T)
-        return -self.beta * np.sum(loss_value(self.loss, a), axis=1)
+        return -self.beta * np.sum(loss_value(self.loss, thetas @ self.Z.T), axis=1)
 
     def log_grad_hessdiag(self, theta):
-        if self.X.shape[0] == 0:
-            z = np.zeros_like(np.asarray(theta, dtype=float))
-            return z, z.copy()
-        a = self.y * (self.X @ theta)
-        d1, d2 = loss_derivatives(self.loss, a)
-        grad = -self.beta * (self.X.T @ (d1 * self.y))
-        hessdiag = -self.beta * ((self.X * self.X).T @ d2)
+        d1, d2 = loss_derivatives(self.loss, self.Z @ theta)
+        grad = -self.beta * (self.Z.T @ d1)
+        # Z * Z equals X * X, since every label is +1 or -1
+        hessdiag = -self.beta * ((self.Z * self.Z).T @ d2)
         return grad, hessdiag
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["LossKind", "logistic", "hinge", "quasi01", "loss_from_name",
-           "is_piecewise_linear", "loss_value", "loss_derivatives"]
+           "loss_kinks", "is_piecewise_linear", "loss_value", "loss_derivatives"]
 
 _VALID = ("logistic", "hinge", "quasi01")
 
@@ -60,9 +60,24 @@ def loss_from_name(name: str, epsilon: float = 0.1) -> LossKind:
     return LossKind(name, epsilon) if name == "quasi01" else LossKind(name)
 
 
+def loss_kinks(kind: LossKind) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """Shape of a piecewise-linear loss: (left slope, kink locations, jumps).
+
+    Left of its first kink the loss has slope ``left_slope``; crossing
+    ``kinks[j]`` from left to right adds ``jumps[j]`` to the slope.  None for
+    the smooth logistic loss.
+    """
+    if kind.name == "hinge":
+        return -1.0, np.array([1.0]), np.array([1.0])
+    if kind.name == "quasi01":
+        eps = kind.epsilon
+        return -eps, np.array([0.0, eps]), np.array([eps - 1.0 / eps, 1.0 / eps])
+    return None
+
+
 def is_piecewise_linear(kind: LossKind) -> bool:
     """True for the kinked losses, whose curvature is zero away from the kinks."""
-    return kind.name != "logistic"
+    return loss_kinks(kind) is not None
 
 
 def loss_value(kind: LossKind, a):

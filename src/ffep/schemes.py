@@ -100,6 +100,8 @@ class SchemeKind:
             raise ValueError(f"unknown scheme {self.kind!r}")
         if not self.newton_tol > 0:
             raise ValueError("newton_tol must be positive")
+        if not isinstance(self.newton_max_iter, (int, np.integer)) or self.newton_max_iter < 1:
+            raise ValueError("newton_max_iter must be an integer of at least 1")
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError("gamma must be positive")
 

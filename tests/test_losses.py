@@ -12,6 +12,7 @@ from ffep.losses import (
     loss_derivatives,
     loss_value,
     loss_from_name,
+    loss_kinks,
     quasi01,
 )
 
@@ -157,6 +158,34 @@ class TestDerivatives:
             fd = (loss_derivatives(kind, a + h)[0]
                   - loss_derivatives(kind, a - h)[0]) / (2.0 * h)
             np.testing.assert_allclose(d2, fd, atol=1e-4)
+
+
+class TestKinkTable:
+    def test_kinks_are_the_ones_the_sweeps_avoid(self):
+        for kind in ALL_KINDS:
+            table = loss_kinks(kind)
+            kinks = () if table is None else tuple(table[1])
+            assert kinks == KINKS[kind.name]
+
+    @pytest.mark.parametrize("kind", [hinge(), quasi01(0.1), quasi01(0.5)],
+                             ids=["hinge", "quasi01_0.1", "quasi01_0.5"])
+    def test_slopes_match_one_sided_differences(self, kind):
+        left_slope, kinks, jumps = loss_kinks(kind)
+        h = 1e-6
+
+        def slope_left_of(a):
+            return (loss_value(kind, a) - loss_value(kind, a - h)) / h
+
+        def slope_right_of(a):
+            return (loss_value(kind, a + h) - loss_value(kind, a)) / h
+
+        assert slope_left_of(kinks[0] - 5.0) == pytest.approx(left_slope, rel=1e-6)
+        assert slope_left_of(kinks[0]) == pytest.approx(left_slope, rel=1e-6)
+        for kink, jump in zip(kinks, jumps):
+            assert slope_right_of(kink) - slope_left_of(kink) \
+                == pytest.approx(jump, rel=1e-6)
+        assert slope_right_of(kinks[-1] + 5.0) \
+            == pytest.approx(left_slope + jumps.sum(), abs=1e-6)
 
 
 class TestSelection:
