@@ -29,10 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import EpConfig, EpTrace, ep_run
+from .engine import EpConfig, EpTrace, classification_costs, ep_run
 from .factors import PriorFactor
 from .ingest import ColumnSchema, Dataset, load_csv, preprocess
-from .losses import LossKind, loss_derivatives, loss_kinks, loss_value
+from .losses import LossKind, loss_derivatives, loss_kinks
 from .schemes import SchemeKind
 
 __all__ = [
@@ -62,8 +62,7 @@ def total_cost(theta, dataset: Dataset, loss: LossKind,
                prior: PriorFactor | None = None) -> float:
     """Summed loss over the whole dataset; prior term only when one is passed."""
     theta = np.asarray(theta, dtype=float)
-    margins = dataset.labels * (dataset.features @ theta)
-    cost = float(np.sum(loss_value(loss, margins)))
+    cost = float(classification_costs(theta[None, :], dataset, loss)[0])
     if prior is not None:
         cost += _prior_quadratic(prior, theta)
     return cost

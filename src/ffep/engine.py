@@ -18,10 +18,20 @@ replaces the stored message with the refreshed one in full.
 
 Runs always execute the configured number of sweeps; stationarity is
 something we measure, never a stopping rule: the trace records, per sweep,
-the largest change of any posterior mean and precision over that sweep.
-Scheme failures and gated-out updates are recorded in the trace and skipped,
-not raised.  A visit that leaves the posterior unchanged reuses the last
-trace cost instead of evaluating the cost function again.
+the largest change of any posterior mean and precision over that sweep and
+how many visits were applied, rejected and failed by the scheme.  Scheme
+failures and gated-out updates are recorded in the trace and skipped, not
+raised.
+
+The trace's cost column is evaluated in stacks.  ``cost_fn`` maps an (m, d)
+stack of posterior means to m costs (``classification_costs`` is the one
+``ep_run`` uses).  A visit whose cost is due and whose posterior changed
+since the last costed visit queues its mean; a due visit with an unchanged
+posterior reuses the last queued (or last evaluated) cost.  The queue holds
+one sweep's means at most and is evaluated when the sweep ends, when that
+sweep's records are built.  Its last mean is evaluated alone, as a one-row
+stack, so every sweep's last trace cost equals a one-row evaluation at that
+posterior bit for bit; the others may differ from it by rounding only.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ __all__ = [
     "EpTrace",
     "SweepRecord",
     "TraceRecord",
+    "classification_costs",
     "ep_run",
     "ep_run_factors",
     "gate_update",
@@ -52,6 +63,9 @@ __all__ = [
 # posterior precisions at or below this floor count as improper for gating
 _PRECISION_FLOOR = 1e-12
 _PRODUCT_TOL = 1e-9
+# float64 values in one block of classification_costs' margins (2 MB), so
+# that a block stays in a core's L2 cache while the loss reads it back
+_MARGIN_BLOCK = 2**18
 
 
 @dataclass
@@ -151,11 +165,15 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """How far one sweep moved the posterior: max |change| over coordinates."""
+    """How far one sweep moved the posterior (max |change| over coordinates)
+    and how many of its visits ended in each update status."""
 
     sweep: int
     max_mean_change: float
     max_precision_change: float
+    applied: int
+    rejected: int
+    scheme_failed: int
 
 
 @dataclass
@@ -221,11 +239,32 @@ def _check_product(state: EpState, prior_msg: DiagGaussian):
         )
 
 
+def classification_costs(thetas, dataset: Dataset, loss: LossKind) -> np.ndarray:
+    """Summed loss over the whole dataset at each row of an (m, d) stack.
+
+    The margins are ``(thetas @ features.T) * labels``, computed in blocks
+    of at most _MARGIN_BLOCK values, so one matrix product reads the table
+    once per block rather than once per row.  A one-row block is the
+    matrix-vector product ``features @ theta``.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    costs = np.empty(len(thetas))
+    rows = max(1, _MARGIN_BLOCK // dataset.n_examples)
+    for i in range(0, len(thetas), rows):
+        margins = thetas[i:i + rows] @ dataset.features.T
+        margins *= dataset.labels
+        costs[i:i + rows] = loss_value(loss, margins).sum(axis=1)
+    return costs
+
+
 def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
     """Run EP over an explicit factor list (anything exposing log_value etc.).
 
-    ``cost_fn`` maps a parameter vector to the trace's total-cost column; when
-    omitted the column is NaN throughout.  Returns (EpState, EpTrace).
+    ``cost_fn`` maps an (m, d) stack of parameter vectors to their m costs
+    for the trace's total-cost column; when omitted the column is NaN
+    throughout.  Costs are evaluated once per sweep, over the means queued
+    at its due visits, and the sweep's last queued mean is evaluated alone
+    (see the module docstring).  Returns (EpState, EpTrace).
     """
     prior_msg = prior_as_message(config.prior, dim)
     looping = config.mode == "looping"
@@ -238,6 +277,8 @@ def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
     cost, cost_stale = np.nan, True
     for sweep in range(config.resolved_sweeps):
         start = state.global_approx
+        means = []  # posterior means queued for costing at the sweep's end
+        visits = []  # (status, cost slot, cumulative ms) per visit
         for k in range(len(factors)):
             visit += 1
             status = "applied"
@@ -267,17 +308,33 @@ def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
                 cost_stale = True
                 if looping:
                     _check_product(state, prior_msg)
-            due = cost_fn is not None and (visit % config.cost_every == 0 or visit == n_total)
-            if due and cost_stale:
-                cost, cost_stale = float(cost_fn(state.global_approx.mean)), False
-            trace.append(
-                TraceRecord(sweep, k, status, cost if due else np.nan, elapsed * 1000.0)
-            )
+            slot = -2
+            if cost_fn is not None and (visit % config.cost_every == 0 or visit == n_total):
+                if cost_stale:
+                    means.append(state.global_approx.mean)
+                    cost_stale = False
+                slot = len(means) - 1
+            visits.append((status, slot, elapsed * 1000.0))
+
+        # cost slot -2: none due (NaN); -1: the cost carried in from an
+        # earlier sweep; i >= 0: the cost of means[i], the last one alone
+        costs = [np.nan, cost]
+        if len(means) > 1:
+            costs.extend(cost_fn(np.stack(means[:-1])))
+        if means:
+            costs.extend(cost_fn(means[-1][None, :]))
+        cost = costs[-1]
+        for k, (status, slot, ms) in enumerate(visits):
+            trace.append(TraceRecord(sweep, k, status, float(costs[slot + 2]), ms))
+        statuses = [v[0] for v in visits]
         g = state.global_approx
         trace.sweeps.append(SweepRecord(
             sweep,
             float(np.max(np.abs(g.mean - start.mean))),
             float(np.max(np.abs(g.precision - start.precision))),
+            statuses.count("applied"),
+            statuses.count("rejected"),
+            statuses.count("scheme_failed"),
         ))
     return state, trace
 
@@ -287,7 +344,7 @@ def ep_run(config: EpConfig, dataset: Dataset):
 
     The trace's total-cost column is the full-dataset classification cost at
     the current posterior mode (no prior term, matching how training curves
-    are usually plotted).
+    are usually plotted), from ``classification_costs``.
     """
     parts = partition(dataset, config.batch_size)
     factors = [
@@ -295,8 +352,7 @@ def ep_run(config: EpConfig, dataset: Dataset):
         for idx in parts.batches
     ]
 
-    def classification_cost(theta):
-        margins = dataset.labels * (dataset.features @ theta)
-        return float(np.sum(loss_value(config.loss, margins)))
+    def cost_fn(thetas):
+        return classification_costs(thetas, dataset, config.loss)
 
-    return ep_run_factors(factors, dataset.dim, config, cost_fn=classification_cost)
+    return ep_run_factors(factors, dataset.dim, config, cost_fn=cost_fn)

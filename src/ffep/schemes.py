@@ -171,14 +171,30 @@ def _taylor_message(theta, value, grad, hessdiag) -> DiagGaussian:
     return DiagGaussian(log_scale, linear, nhp)
 
 
+def _first_ascent(cavity_logs: np.ndarray, factor, cands: np.ndarray, obj: float):
+    """(index, value) of the first candidate whose log(c*f) is finite and
+    >= obj, else (None, None); ``cavity_logs`` holds their log c."""
+    if getattr(factor, "log_value_many", None) is not None:
+        vals = cavity_logs + _log_values(factor, cands)
+        ok = np.flatnonzero(np.isfinite(vals) & (vals >= obj))
+        return (ok[0], vals[ok[0]]) if ok.size else (None, None)
+    for k, (c, p) in enumerate(zip(cavity_logs, cands)):
+        val = c + factor.log_value(p)
+        if np.isfinite(val) and val >= obj:
+            return k, val
+    return None, None
+
+
 def _newton_mode(cavity: DiagGaussian, factor, scheme: SchemeKind) -> np.ndarray:
     """Maximize log(c*f) by damped Newton on its diagonal curvature.
 
     The curvature is the cavity precision plus the factor's Hessian
     diagonal, and the search starts from the cavity mean.  Each iteration
     tries the full Newton step first; if that lowers the objective, the
-    halved steps 2^-1 ... 2^-(_MAX_HALVINGS-1) are scored in one batched
-    call and the longest one that does not lower it is taken.  When none
+    halved steps 2^-1 ... 2^-(_MAX_HALVINGS-1) are scored and the longest
+    one that does not lower it is taken.  They are scored in one batched
+    call, or, for a factor without ``log_value_many``, one at a time from
+    the longest, stopping at the first that qualifies.  When none
     qualifies, no ascent is left along the Newton direction and the search
     has converged.  A full step that lowers the objective by at most 4 ulps
     is a tie, and the search has converged too: which side of the tie it
@@ -206,12 +222,10 @@ def _newton_mode(cavity: DiagGaussian, factor, scheme: SchemeKind) -> np.ndarray
             if obj - val <= 4.0 * np.spacing(abs(obj)):
                 return theta  # the full step changes the objective by rounding only
             cands = theta + _HALVINGS[:, None] * step
-            vals = eval_log(cavity, cands) + _log_values(factor, cands)
-            ok = np.flatnonzero(np.isfinite(vals) & (vals >= obj))
-            if ok.size == 0:
+            k, val = _first_ascent(eval_log(cavity, cands), factor, cands, obj)
+            if k is None:
                 return theta  # no ascent available along the Newton direction
-            k = ok[0]
-            t, cand, val = _HALVINGS[k], cands[k], vals[k]
+            t, cand = _HALVINGS[k], cands[k]
         theta, obj = cand, val
         if np.all(np.abs(t * step) <= tol * np.maximum(1.0, np.abs(theta))):
             return theta

@@ -387,7 +387,8 @@ class TestRunExperiment:
         assert written["runs"][0]["scheme"] == "qla"
         sweeps = written["runs"][0]["sweeps"]
         assert [s["sweep"] for s in sweeps] == [0, 1, 2, 3, 4]
-        assert set(sweeps[0]) == {"sweep", "max_mean_change", "max_precision_change"}
+        assert set(sweeps[0]) == {"sweep", "max_mean_change", "max_precision_change",
+                                  "applied", "rejected", "scheme_failed"}
         assert sweeps[0]["max_mean_change"] > sweeps[-1]["max_mean_change"] >= 0.0
 
     def test_reference_computation_can_be_disabled(self, small_csv, tmp_path):

@@ -10,6 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ffep import engine
+from ffep.bench import total_cost
 from ffep.engine import (
     EpConfig,
     EpState,
@@ -17,6 +19,7 @@ from ffep.engine import (
     TraceRecord,
     _check_product,
     _close,
+    classification_costs,
     ep_run,
     ep_run_factors,
     gate_update,
@@ -25,8 +28,8 @@ from ffep.engine import (
 from ffep.factors import GaussianFactor, PriorFactor, prior_as_message
 from ffep.gaussian import DiagGaussian, multiply
 from ffep.ingest import Dataset, RawTable, preprocess
-from ffep.losses import hinge, logistic, quasi01
-from ffep.schemes import SchemeKind
+from ffep.losses import hinge, logistic, loss_value, quasi01
+from ffep.schemes import SchemeFailure, SchemeKind
 
 from oracles import grid_min_2d  # noqa: F401  (shared import path check)
 
@@ -270,7 +273,7 @@ class TestEngineMechanics:
     def test_cost_column_is_thinned_but_final_visit_always_costed(self):
         factors = [gaussian_factor([0.5], [1.0]), gaussian_factor([-0.5], [1.0])]
         cfg = config("la", prior=PriorFactor(variance=4.0), cost_every=3)
-        _, trace = ep_run_factors(factors, 1, cfg, cost_fn=lambda th: th[0])
+        _, trace = ep_run_factors(factors, 1, cfg, cost_fn=lambda th: th[:, 0])
         finite = [i for i, r in enumerate(trace.records)
                   if np.isfinite(r.total_cost)]
         assert trace.n_visits == 10
@@ -280,7 +283,7 @@ class TestEngineMechanics:
     def test_costs_filter_by_sweep(self):
         factors = [gaussian_factor([0.5], [1.0])]
         cfg = config("la", prior=PriorFactor(variance=4.0), n_sweeps=3)
-        _, trace = ep_run_factors(factors, 1, cfg, cost_fn=lambda th: th[0])
+        _, trace = ep_run_factors(factors, 1, cfg, cost_fn=lambda th: th[:, 0])
         assert len(trace.costs()) == 3
         assert len(trace.costs(sweep=1)) == 1
 
@@ -337,36 +340,37 @@ class TestMessageStore:
 class TestCostReuse:
     @staticmethod
     def counting(fn):
-        calls = []
+        """A stack cost function that records every row it is asked to cost."""
+        rows = []
 
-        def cost_fn(theta):
-            calls.append(theta.copy())
-            return fn(theta)
+        def cost_fn(thetas):
+            rows.extend(t.copy() for t in thetas)
+            return np.array([fn(t) for t in thetas])
 
-        return cost_fn, calls
+        return cost_fn, rows
 
     def test_unchanged_posterior_is_costed_once(self):
-        cost_fn, calls = self.counting(lambda th: 1.0 + th[0])
+        cost_fn, rows = self.counting(lambda th: 1.0 + th[0])
         cfg = config("qla", prior=PriorFactor(mean=[0.25], variance=1.0), n_sweeps=3)
         _, trace = ep_run_factors([hopeless_factor()], 1, cfg, cost_fn=cost_fn)
         assert [r.update_status for r in trace.records] == ["rejected"] * 3
-        assert len(calls) == 1
+        assert len(rows) == 1
         assert [r.total_cost for r in trace.records] == [1.25] * 3
 
     def test_applied_updates_are_costed_at_every_due_visit(self):
         factors = [gaussian_factor([0.5], [1.0]), gaussian_factor([-0.5], [1.0])]
-        cost_fn, calls = self.counting(lambda th: th[0])
+        cost_fn, rows = self.counting(lambda th: th[0])
         _, trace = ep_run_factors(factors, 1, config("la", n_sweeps=3),
                                   cost_fn=cost_fn)
         assert all(r.update_status == "applied" for r in trace.records)
-        assert len(calls) == trace.n_visits == 6
-        assert [r.total_cost for r in trace.records] == [c[0] for c in calls]
+        assert len(rows) == trace.n_visits == 6
+        assert [r.total_cost for r in trace.records] == [c[0] for c in rows]
 
     def test_reuse_spans_thinned_visits(self):
         # visits 1 and 4 apply, the rest are rejected; of the costs due at
         # visits 2, 4 and 6 only the last sees the posterior already costed
         factors = [gaussian_factor([0.5], [1.0]), hopeless_factor(), hopeless_factor()]
-        cost_fn, calls = self.counting(lambda th: th[0])
+        cost_fn, rows = self.counting(lambda th: th[0])
         cfg = config("qla", prior=PriorFactor(variance=1.0), n_sweeps=2,
                      cost_every=2)
         _, trace = ep_run_factors(factors, 1, cfg, cost_fn=cost_fn)
@@ -374,8 +378,84 @@ class TestCostReuse:
             "applied", "rejected", "rejected"] * 2
         costs = [r.total_cost for r in trace.records]
         assert [i for i, c in enumerate(costs) if np.isfinite(c)] == [1, 3, 5]
-        assert len(calls) == 2
+        assert len(rows) == 2
         assert costs[1] == costs[3] == costs[5]
+
+
+class TestStackedCosts:
+    """Trace costs evaluated per sweep, as stacks of posterior means."""
+
+    def test_one_row_is_the_matrix_vector_product(self):
+        rng = np.random.default_rng(50)
+        ds = random_dataset(rng, 300, 4)
+        for loss in (logistic(), hinge(), quasi01()):
+            for theta in rng.normal(size=(5, 4)):
+                (cost,) = classification_costs(theta[None, :], ds, loss)
+                assert cost == total_cost(theta, ds, loss)
+                margins = ds.labels * (ds.features @ theta)
+                assert cost == float(np.sum(loss_value(loss, margins)))
+
+    def test_blocks_smaller_than_the_due_visits(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        ds = random_dataset(rng, 40, 3)
+        cfg = config("qla", batch_size=2, cost_every=2)
+        _, whole = ep_run(cfg, ds)
+
+        rows, blocks = [], []
+        costs, loss_value_ = engine.classification_costs, engine.loss_value
+
+        def recording_costs(thetas, dataset, loss):
+            rows.extend(thetas)
+            return costs(thetas, dataset, loss)
+
+        def recording_loss(loss, margins):
+            blocks.append(len(margins))
+            return loss_value_(loss, margins)
+
+        monkeypatch.setattr(engine, "_MARGIN_BLOCK", 3 * ds.n_examples)
+        monkeypatch.setattr(engine, "classification_costs", recording_costs)
+        monkeypatch.setattr(engine, "loss_value", recording_loss)
+        _, trace = ep_run(cfg, ds)
+
+        assert all(r.update_status == "applied" for r in trace.records)
+        # each sweep queues 10 means: 9 costed in blocks of 3, the last alone
+        assert blocks == [3, 3, 3, 1] * 5
+        traced = [r.total_cost for r in trace.records]
+        assert (np.isnan(traced) == np.isnan([r.total_cost for r in whole.records])).all()
+        due = [i for i, c in enumerate(traced) if np.isfinite(c)]
+        assert due == [i for i in range(trace.n_visits)
+                       if (i + 1) % 2 == 0 or i + 1 == trace.n_visits]
+        assert len(rows) == len(due)  # every due visit saw a new posterior
+        for i, theta in zip(due, rows):
+            expected = total_cost(theta, ds, logistic())
+            assert abs(traced[i] - expected) <= 4e-16 * abs(expected)
+
+    def test_each_sweeps_last_mean_is_costed_alone(self):
+        # a cost that reads the height of the stack it was evaluated in
+        factors = [gaussian_factor([0.5], [1.0]), gaussian_factor([-0.5], [1.0]),
+                   gaussian_factor([0.2], [2.0])]
+        _, trace = ep_run_factors(factors, 1, config("la", n_sweeps=3),
+                                  cost_fn=lambda th: np.full(len(th), float(len(th))))
+        assert [r.total_cost for r in trace.records] == [2.0, 2.0, 1.0] * 3
+
+    def test_final_record_reuses_an_earlier_sweeps_cost_exactly(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        ds = random_dataset(rng, 30, 2)
+        cfg = config("qla", batch_size=10, n_sweeps=3)
+        calls, approximate = [], engine.approximate
+
+        def failing_in_the_last_sweep(scheme, cavity, factor):
+            calls.append(1)
+            if len(calls) > 2 * 3:  # 3 factors: every visit of the third sweep fails
+                raise SchemeFailure("switched off")
+            return approximate(scheme, cavity, factor)
+
+        monkeypatch.setattr(engine, "approximate", failing_in_the_last_sweep)
+        state, trace = ep_run(cfg, ds)
+        last = trace.sweeps[-1]
+        assert (last.applied, last.rejected, last.scheme_failed) == (0, 0, 3)
+        assert trace.records[-1].total_cost == total_cost(posterior_mode(state), ds,
+                                                          logistic())
 
 
 class TestSweepRecords:
@@ -407,6 +487,22 @@ class TestSweepRecords:
         (rec,) = trace.sweeps
         assert rec.max_mean_change == pytest.approx(0.8, rel=1e-12)
         assert rec.max_precision_change == pytest.approx(1.0, rel=1e-12)
+
+    def test_status_counts_sum_to_the_factor_count(self):
+        rng = np.random.default_rng(46)
+        ds = random_dataset(rng, 30, 2)
+        _, trace = ep_run(config("gq", batch_size=4, n_sweeps=3), ds)
+        for s in trace.sweeps:
+            statuses = [r.update_status for r in trace.records if r.sweep == s.sweep]
+            assert s.applied + s.rejected + s.scheme_failed == 8
+            assert (s.applied, s.rejected, s.scheme_failed) == tuple(
+                statuses.count(k) for k in ("applied", "rejected", "scheme_failed"))
+
+    def test_vq_on_quasi01_rejects_every_visit(self, synthetic_dataset):
+        cfg = config("vq", loss=quasi01(), batch_size=10)
+        _, trace = ep_run(cfg, synthetic_dataset)
+        assert [(s.applied, s.rejected, s.scheme_failed) for s in trace.sweeps] == [
+            (0, 31, 0)] * 5
 
     def test_streaming_records_its_single_pass(self):
         rng = np.random.default_rng(45)

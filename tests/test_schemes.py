@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ffep import schemes
-from ffep.engine import EpConfig, ep_run
+from ffep.engine import EpConfig, ep_run, ep_run_factors
 from ffep.factors import GaussianFactor, MiniBatchFactor, bind
 from ffep.gaussian import (
     DiagGaussian,
@@ -16,7 +16,7 @@ from ffep.gaussian import (
     eval_log,
     multiply,
 )
-from ffep.ingest import Dataset
+from ffep.ingest import Dataset, partition
 from ffep.losses import hinge, is_piecewise_linear, logistic, quasi01
 from ffep.schemes import (
     _MAX_HALVINGS,
@@ -307,6 +307,16 @@ class LogValueOnlyFactor:
         return self.factor.log_grad_hessdiag(theta)
 
 
+class CountingFactor(LogValueOnlyFactor):
+    """A LogValueOnlyFactor that counts its log_value calls."""
+
+    calls = 0
+
+    def log_value(self, theta):
+        self.calls += 1
+        return super().log_value(theta)
+
+
 class BlackBoxFactor(LogValueOnlyFactor):
     """A data batch without its margin-space view: approx_laplace takes the
     Newton search and the factor's own slope on it, whatever the loss."""
@@ -416,7 +426,14 @@ class TestLaplaceLineSearch:
             assert_same_laplace_outcome(cavity, random_gaussian_factor(rng, cavity))
 
     def test_matches_stepwise_search_without_log_value_many(self, synthetic_dataset,
-                                                             batched_calls):
+                                                             monkeypatch):
+        searches, first_ascent = [], schemes._first_ascent
+
+        def counting(*args):
+            searches.append(1)
+            return first_ascent(*args)
+
+        monkeypatch.setattr(schemes, "_first_ascent", counting)
         rng = np.random.default_rng(27)
         d = synthetic_dataset.dim
         for start in range(0, 100, 10):
@@ -424,7 +441,29 @@ class TestLaplaceLineSearch:
                           synthetic_dataset)
             cavity = random_cavity(rng, d, log_var_range=(-1.5, 3.2), mean_scale=5.0)
             assert_same_laplace_outcome(cavity, LogValueOnlyFactor(factor))
-        assert batched_calls  # the per-point fallback scored the halvings
+        assert searches  # the per-point fallback scored the halvings
+
+    def test_per_point_search_stops_at_the_first_ascent(self, synthetic_dataset,
+                                                         monkeypatch):
+        # looping la/hinge through factors without log_value_many lands where
+        # the batched search does, scoring no more points than a stepwise search
+        def run(wrapper):
+            factors = [wrapper(bind(MiniBatchFactor(idx, hinge()), synthetic_dataset))
+                       for idx in partition(synthetic_dataset, 10).batches]
+            cfg = EpConfig(scheme=SchemeKind("la"), loss=hinge(), batch_size=10)
+            state, trace = ep_run_factors(factors, synthetic_dataset.dim, cfg)
+            return state.global_approx, trace, sum(getattr(f, "calls", 0) for f in factors)
+
+        batched, batched_trace, _ = run(BlackBoxFactor)
+        g, trace, calls = run(CountingFactor)
+        monkeypatch.setitem(schemes._DISPATCH, "la", stepwise_laplace)
+        _, _, stepwise_calls = run(CountingFactor)
+        assert ([r.update_status for r in trace.records]
+                == [r.update_status for r in batched_trace.records])
+        np.testing.assert_array_equal(g.linear, batched.linear)
+        np.testing.assert_array_equal(g.neg_half_precision, batched.neg_half_precision)
+        assert g.log_scale == batched.log_scale
+        assert 0 < calls <= stepwise_calls
 
     def test_looping_quasi01_run_matches_stepwise_search(self, synthetic_dataset,
                                                          monkeypatch):
