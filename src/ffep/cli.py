@@ -156,12 +156,21 @@ def _merged_settings(args, cfg: dict) -> dict:
     return settings
 
 
+def _losses_and_prior(s: dict):
+    """The settings' losses and prior; a bad value is a usage error."""
+    try:
+        losses = tuple(loss_from_name(n, epsilon=s["epsilon"]) for n in s["losses"])
+        return losses, PriorFactor(variance=float(s["prior_variance"]))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _build_run_config(args) -> RunConfig:
     cfg = _load_config_file(args.config) if args.config else {}
     path, schema, name = _resolve_dataset(cfg)
     s = _merged_settings(args, cfg)
+    losses, prior = _losses_and_prior(s)
     try:
-        losses = tuple(loss_from_name(n, epsilon=s["epsilon"]) for n in s["losses"])
         schemes = tuple(
             scheme_from_name(n, newton_tol=s["newton_tol"], gamma=s["gamma"])
             for n in s["schemes"]
@@ -177,7 +186,7 @@ def _build_run_config(args) -> RunConfig:
             n_sweeps=s["sweeps"],
             mode=s["mode"],
             beta=float(s["beta"]),
-            prior=PriorFactor(variance=float(s["prior_variance"])),
+            prior=prior,
             cost_every=int(s["cost_every"]),
             timing_repetitions=int(s["timing_repetitions"]),
             with_references=bool(s["references"]),
@@ -212,9 +221,8 @@ def _cmd_reference(args) -> int:
     cfg = _load_config_file(args.config) if args.config else {}
     path, schema, name = _resolve_dataset(cfg)
     s = _merged_settings(args, cfg)
+    losses, prior = _losses_and_prior(s)
     dataset = preprocess(load_csv(path, schema), name=name)
-    prior = PriorFactor(variance=float(s["prior_variance"]))
-    losses = [loss_from_name(n, epsilon=s["epsilon"]) for n in s["losses"]]
     refs = _compute_references(dataset, losses, prior)
     for loss_name, ref in refs.items():
         print(f"{loss_name:>8s}  cost={ref['cost']:.6f}  converged={ref['converged']}")

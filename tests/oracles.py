@@ -1,10 +1,12 @@
 """Independent numerical cross-checks for the test suite.
 
 Everything in this module is computed from first principles (dense
-grids, Simpson integration, scalar root finding) without calling into
-``ffep`` itself, so agreement between the two implementations is
-meaningful evidence rather than a tautology.
+grids, Simpson integration, scalar root finding, enumeration of a box
+QP's faces) without calling into ``ffep`` itself, so agreement between
+the two implementations is meaningful evidence rather than a tautology.
 """
+
+import itertools
 
 import numpy as np
 from scipy.integrate import simpson
@@ -17,6 +19,7 @@ __all__ = [
     "maximize_1d",
     "solve_scalar",
     "grid_min_2d",
+    "box_qp_by_enumeration",
     "concave_argmax",
     "surrogate_value_grad_hess",
 ]
@@ -123,6 +126,48 @@ def grid_min_2d(cost, lo, hi, n=200):
             if v < best:
                 best = v
     return float(best)
+
+
+def box_qp_by_enumeration(Q, b, hi):
+    """argmin of 1/2 a.Q.a - a.b over [0, hi]^s, Q PSD, by trying every face.
+
+    Each of the 3^s assignments of the rows to {0, free, hi} fixes the bound
+    rows and solves the free rows' stationarity equations
+    Q_FF a_F = b_F - Q_FB a_B by least squares.  A point inside the box
+    whose gradient g = Q a - b vanishes on the free rows, is >= 0 on the
+    rows at 0 and <= 0 on the rows at hi (each to 1e-9 of the terms it
+    sums) is a minimum of the convex problem.  Some face holds a minimum
+    with independent free columns, where the least-squares solve is exact,
+    so a singular Q is handled too.  The lowest-objective candidate is
+    returned.  Meant for s <= 6 (729 faces).
+    """
+    Q = np.asarray(Q, dtype=float)
+    b = np.asarray(b, dtype=float)
+    s = b.size
+    rtol = 1e-9
+    best, best_value = None, np.inf
+    for labels in itertools.product((0, 1, 2), repeat=s):  # 0, free, hi
+        labels = np.array(labels)
+        free = labels == 1
+        a = np.where(labels == 2, hi, 0.0)
+        if free.any():
+            rhs = b[free] - Q[np.ix_(free, ~free)] @ a[~free]
+            a[free] = np.linalg.lstsq(Q[np.ix_(free, free)], rhs, rcond=None)[0]
+        slack = rtol * (hi + np.abs(a))
+        if np.any(a < -slack) or np.any(a > hi + slack):
+            continue
+        a = np.clip(a, 0.0, hi)
+        g = Q @ a - b
+        tol = rtol * (np.abs(Q) @ a + np.abs(b))
+        if (np.any(np.abs(g[free]) > tol[free]) or np.any(g[labels == 0] < -tol[labels == 0])
+                or np.any(g[labels == 2] > tol[labels == 2])):
+            continue
+        value = 0.5 * a @ Q @ a - a @ b
+        if value < best_value:
+            best, best_value = a, value
+    if best is None:
+        raise ValueError("no face holds a KKT point")
+    return best
 
 
 def _monomials(pts):

@@ -164,6 +164,25 @@ class TestReferenceCommand:
         assert (tmp_path / "results" / "references.json").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "reference"])
+class TestBadSettingsAreUsageErrors:
+    """Both subcommands build losses and the prior the same way, before any data is read."""
+
+    @pytest.mark.parametrize("flags, overrides, message", [
+        (["--loss", "foo"], {}, "unknown loss 'foo'"),
+        ([], {"losses": ["quasi01"], "epsilon": 0}, "epsilon must be positive"),
+        ([], {"prior_variance": -1}, "prior variance must be positive"),
+    ], ids=["unknown-loss", "zero-epsilon", "negative-prior-variance"])
+    def test_exits_one_with_a_message(self, tmp_path, small_csv, capsys,
+                                      command, flags, overrides, message):
+        cfg = write_config(tmp_path, small_csv, **overrides)
+        assert main([command, "--config", str(cfg)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ffep: error: ")
+        assert message in err
+        assert not (tmp_path / "results").exists()
+
+
 class TestReportCommand:
     def timing_lines(self, scheme):
         return (

@@ -35,6 +35,7 @@ from ffep.schemes import (
 )
 
 from oracles import (
+    box_qp_by_enumeration,
     concave_argmax,
     dense_kl_1d,
     dense_moments_1d,
@@ -491,6 +492,17 @@ def tilted_mode(cavity, factor):
     return multiply(cavity, approx_laplace(cavity, factor)).mean
 
 
+def assert_box_qp_kkt(Q, b, alpha, beta):
+    """alpha is in [0, beta]^s and meets the box QP's KKT conditions to 1e-11 of the terms."""
+    assert np.all((alpha >= 0.0) & (alpha <= beta))
+    g = Q @ alpha - b  # margin - 1 at the mode
+    tol = 1e-11 * (np.abs(Q) @ alpha + np.abs(b))
+    free = (alpha > 0.0) & (alpha < beta)
+    assert np.all(np.abs(g[free]) <= tol[free])
+    assert np.all(g[alpha == 0.0] >= -tol[alpha == 0.0])
+    assert np.all(g[alpha == beta] <= tol[alpha == beta])
+
+
 class TestHingeMode:
     """la on hinge batches: the tilted mode solved as a box QP."""
 
@@ -516,7 +528,7 @@ class TestHingeMode:
             # ... and it lands where the mode is, to the nested search's precision
             np.testing.assert_allclose(oracle, mode, atol=1e-3)
 
-    @pytest.mark.parametrize("beta", [1.0, 50.0])
+    @pytest.mark.parametrize("beta", [1.0, 50.0, 1000.0])
     def test_kkt_conditions_on_every_synthetic306_batch(self, synthetic_dataset, beta):
         """s = 10 rows in d = 4 dimensions, so Q is singular on every full batch."""
         rng = np.random.default_rng(61)
@@ -531,18 +543,84 @@ class TestHingeMode:
             alpha = schemes._box_qp(Q, b, beta)
             sizes.append(len(b))
 
-            assert np.all((alpha >= 0.0) & (alpha <= beta))
-            g = Q @ alpha - b  # margin - 1 at the mode
-            tol = 1e-11 * (np.abs(Q) @ alpha + np.abs(b))
-            free = (alpha > 0.0) & (alpha < beta)
-            assert np.all(np.abs(g[free]) <= tol[free])
-            assert np.all(g[alpha == 0.0] >= -tol[alpha == 0.0])
-            assert np.all(g[alpha == beta] <= tol[alpha == beta])
+            assert_box_qp_kkt(Q, b, alpha, beta)
             # cavity * message peaks at theta* = mu + Z^T alpha / lambda
             np.testing.assert_allclose(tilted_mode(cavity, factor), mu + Z.T @ alpha / lam,
                                        rtol=1e-12, atol=1e-12)
         assert sizes == [10] * 30 + [6]  # the remainder batch is checked too
         assert np.linalg.matrix_rank(Q) < len(b)
+
+    @pytest.mark.parametrize("beta", [1.0, 50.0, 1000.0])
+    def test_kkt_conditions_on_stream_shaped_batches(self, beta):
+        """s = 10 rows in d = 20 dimensions, so Q is nonsingular.
+
+        Cavity variances run from e^-7, as concentrated as a long streaming
+        pass makes them, to e^7, a prior far broader than the default.  At
+        beta = 1000 the broad ones send rows from beta to near 0, which is
+        where the path's cancellation error shows if the face is not
+        solved afresh.
+        """
+        rng = np.random.default_rng(66)
+        for _ in range(200):
+            Z = rng.normal(size=(10, 20)) * np.where(rng.random((10, 1)) < 0.5, -1.0, 1.0)
+            cavity = random_cavity(rng, 20, log_var_range=(-7.0, 7.0), mean_scale=1.0)
+            lam, mu = cavity.precision, cavity.mean
+            Q, b = (Z / lam) @ Z.T, 1.0 - Z @ mu
+            assert np.linalg.matrix_rank(Q) == 10
+            assert_box_qp_kkt(Q, b, schemes._box_qp(Q, b, beta), beta)
+
+    @pytest.mark.parametrize("beta", [0.01, 1.0, 50.0, 1000.0])
+    def test_optimal_start_vertex_comes_back_unchanged(self, beta):
+        """Rows orthogonal under the cavity covariance make Q diagonal, and
+        margins far from 1 put each row's optimum on the bound it starts at:
+        beta where the margin at the cavity mean is below 1, 0 where above."""
+        rng = np.random.default_rng(67)
+        for _ in range(10):
+            d = int(rng.integers(2, 9))
+            s = int(rng.integers(1, d + 1))
+            basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
+            lam = np.exp(rng.uniform(-1.0, 1.0, size=d))
+            Z = basis[:s] * np.sqrt(lam) * rng.uniform(0.5, 2.0, size=(s, 1))
+            Q = (Z / lam) @ Z.T
+            assert np.allclose(Q, np.diag(np.diag(Q)), rtol=0.0, atol=1e-12)
+            below = rng.random(s) < 0.5
+            # the margin Z mu: below 1 by more than beta * Q_jj, or well above it
+            margins = np.where(below, 1.0 - beta * np.diag(Q) - rng.uniform(1.0, 10.0, size=s),
+                               1.0 + rng.uniform(1.0, 10.0, size=s))
+            mu = np.linalg.lstsq(Z, margins, rcond=None)[0]
+            b = 1.0 - Z @ mu
+            np.testing.assert_array_equal(schemes._box_qp(Q, b, beta), np.where(below, beta, 0.0))
+
+    def test_matches_the_enumeration_oracle(self):
+        """About 200 small problems against every face of the box, with singular
+        Q, zero, repeated and sign-flipped rows and beta from 0.01 to 1000."""
+        rng = np.random.default_rng(68)
+        singular = 0
+        for i in range(200):
+            beta = (0.01, 1.0, 50.0, 1000.0)[i % 4]
+            s, d = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            Z = rng.normal(size=(s, d))
+            kind = i // 4 % 4
+            if kind == 1 and s > 1:
+                Z[-1] = Z[0]  # a repeated row
+            elif kind == 2 and s > 1:
+                Z[-1] = -Z[0]  # a sign-flipped row
+            elif kind == 3:
+                Z[rng.integers(s)] = 0.0  # a zero row
+            cavity = random_cavity(rng, d, log_var_range=(-1.5, 3.2))
+            lam, mu = cavity.precision, cavity.mean
+            Q, b = (Z / lam) @ Z.T, 1.0 - Z @ mu
+            singular += np.linalg.matrix_rank(Q) < s
+
+            alpha = schemes._box_qp(Q, b, beta)
+            oracle = box_qp_by_enumeration(Q, b, beta)
+            values = [0.5 * a @ Q @ a - a @ b for a in (alpha, oracle)]
+            scale = max(0.5 * a @ np.abs(Q) @ a + a @ np.abs(b) for a in (alpha, oracle))
+            assert abs(values[0] - values[1]) <= 1e-12 * scale
+            # the mode is unique even where alpha is not
+            np.testing.assert_allclose(Z.T @ alpha / lam, Z.T @ oracle / lam,
+                                       rtol=1e-10, atol=1e-10 * (1.0 + np.abs(mu).max()))
+        assert singular >= 100
 
     def test_single_example_is_the_clipped_closed_form(self):
         rng = np.random.default_rng(62)
