@@ -18,7 +18,7 @@ schemes can be judged by the posterior mean and variance they imply.
 
 import numpy as np
 
-from ffep.factors import MiniBatchFactor, bind
+from ffep.factors import BoundFactor
 from ffep.gaussian import DiagGaussian, eval_log, multiply
 from ffep.ingest import Dataset
 from ffep.losses import hinge
@@ -54,7 +54,7 @@ def generalized_kl(cavity, factor, message):
 
 def main():
     ds = Dataset(features=np.array([[X]]), labels=np.array([1.0]))
-    factor = bind(MiniBatchFactor(batch=[0], loss=hinge()), ds)
+    factor = BoundFactor(ds, batch=[0], loss=hinge())
     cavity = DiagGaussian.from_mean_var([CAVITY_MEAN], [CAVITY_VAR])
 
     true_mean, true_var = dense_truth(factor)

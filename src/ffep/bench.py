@@ -1,8 +1,8 @@
 """Reference solvers and the experiment harness around the EP engine.
 
 The reference minimizers target the same objective EP carries implicitly:
-total classification cost plus the Gaussian prior's quadratic term (theta^T
-theta / (2 * variance) for a centered prior).  Logistic cost is minimized by
+total classification cost plus the zero-mean Gaussian prior's quadratic
+term theta^T theta / (2 * variance).  Logistic cost is minimized by
 Newton's method; the piecewise-linear hinge and quasi 0-1 costs by Powell's
 direction set, whose line searches are exact because the objective along a
 line is piecewise quadratic.  Trace files instead report the
@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,16 +46,12 @@ __all__ = [
     "write_trace",
 ]
 
+# the columns of timing.csv, which ``ffep report`` merges
+_TIMING_COLUMNS = ("dataset", "N", "d", "s", "loss", "scheme", "mean_ms_per_minibatch")
 _NEWTON_GRAD_TOL = 1e-8
 _NEWTON_MAX_ITER = 200
 _POWELL_REL_TOL = 1e-8
 _POWELL_BUDGET_PER_DIM = 100
-
-
-def _prior_quadratic(prior: PriorFactor, theta: np.ndarray) -> float:
-    mean = prior.mean if prior.mean is not None else 0.0
-    diff = theta - mean
-    return 0.5 * float(np.sum(diff * diff)) / prior.variance
 
 
 def total_cost(theta, dataset: Dataset, loss: LossKind,
@@ -64,7 +60,7 @@ def total_cost(theta, dataset: Dataset, loss: LossKind,
     theta = np.asarray(theta, dtype=float)
     cost = float(classification_costs(theta[None, :], dataset, loss)[0])
     if prior is not None:
-        cost += _prior_quadratic(prior, theta)
+        cost += 0.5 * float(np.sum(theta * theta)) / prior.variance
     return cost
 
 
@@ -77,25 +73,20 @@ def reference_newton_logistic(dataset: Dataset,
     gradient sup-norm 1e-8 or raises.
     """
     prior = prior or PriorFactor()
-    mean = np.zeros(dataset.dim) if prior.mean is None else np.asarray(prior.mean, float)
     z = dataset.labels[:, None] * dataset.features
-    theta = mean.copy()
+    theta = np.zeros(dataset.dim)
     logistic = LossKind("logistic")
-
-    def objective(t):
-        return float(np.sum(np.logaddexp(0.0, -(z @ t)))) + _prior_quadratic(prior, t)
-
     for _ in range(_NEWTON_MAX_ITER):
         d1, w = loss_derivatives(logistic, z @ theta)
-        grad = z.T @ d1 + (theta - mean) / prior.variance
+        grad = z.T @ d1 + theta / prior.variance
         if np.max(np.abs(grad)) <= _NEWTON_GRAD_TOL:
             return theta
         hess = z.T @ (w[:, None] * z) + np.eye(dataset.dim) / prior.variance
         chol = np.linalg.cholesky(hess)  # raises LinAlgError unless positive definite
         step = np.linalg.solve(chol.T, np.linalg.solve(chol, -grad))
-        f0 = objective(theta)
+        f0 = total_cost(theta, dataset, logistic, prior)
         t = 1.0
-        while t > 1e-12 and objective(theta + t * step) > f0:
+        while t > 1e-12 and total_cost(theta + t * step, dataset, logistic, prior) > f0:
             t *= 0.5
         theta = theta + t * step
     raise RuntimeError("logistic Newton did not reach the gradient tolerance")
@@ -125,8 +116,7 @@ def _line_minimize(objective, Z, kinks, prior: PriorFactor, theta, direction, f0
     breaks = ((kink_at[:, None] - a) / b).ravel()
     order = np.argsort(breaks)
     breaks = breaks[order]
-    mean = 0.0 if prior.mean is None else prior.mean
-    c1 = float((theta - mean) @ direction) / prior.variance
+    c1 = float(theta @ direction) / prior.variance
     c2 = float(direction @ direction) / (2.0 * prior.variance)
     # slopes[j] is the slope of the loss sum plus c1*t between breaks[j-1] and
     # breaks[j].  Left of every breakpoint, margins with b > 0 lie left of
@@ -235,6 +225,8 @@ class RunConfig:
     cost_every: int = 1
     timing_repetitions: int = 3
     with_references: bool = True
+    # every run's EP protocol, validated here; each run swaps in its loss and scheme
+    ep_config: EpConfig = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.losses:
@@ -243,6 +235,16 @@ class RunConfig:
             raise ValueError("at least one scheme is required")
         if self.timing_repetitions < 1:
             raise ValueError("timing_repetitions must be at least 1")
+        self.ep_config = EpConfig(
+            scheme=self.schemes[0],
+            loss=self.losses[0],
+            beta=self.beta,
+            batch_size=self.batch_size,
+            n_sweeps=self.n_sweeps,
+            mode=self.mode,
+            prior=self.prior,
+            cost_every=self.cost_every,
+        )
 
 
 @dataclass(frozen=True)
@@ -279,9 +281,7 @@ def write_trace(path, trace: EpTrace, reference_cost: float | None = None):
 def _write_timing(path, rows: list[TimingRow]):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["dataset", "N", "d", "s", "loss", "scheme", "mean_ms_per_minibatch"]
-        )
+        writer.writerow(_TIMING_COLUMNS)
         for r in rows:
             writer.writerow(
                 [r.dataset, r.n_examples, r.dim, r.batch_size, r.loss, r.scheme,
@@ -349,16 +349,7 @@ def run_experiment(config: RunConfig) -> dict:
         for scheme in config.schemes:
             trace_name = f"{config.dataset_name}_{loss.name}_{scheme.kind}.trace.csv"
             try:
-                ep_config = EpConfig(
-                    scheme=scheme,
-                    loss=loss,
-                    beta=config.beta,
-                    batch_size=config.batch_size,
-                    n_sweeps=config.n_sweeps,
-                    mode=config.mode,
-                    prior=config.prior,
-                    cost_every=config.cost_every,
-                )
+                ep_config = replace(config.ep_config, scheme=scheme, loss=loss)
                 per_batch_ms = []
                 state = trace = None
                 for _ in range(config.timing_repetitions):

@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import RunConfig, _compute_references, run_experiment
+from .bench import _TIMING_COLUMNS, RunConfig, _compute_references, run_experiment
 from .factors import PriorFactor
 from .ingest import (
     ColumnSchema,
@@ -156,12 +156,20 @@ def _merged_settings(args, cfg: dict) -> dict:
     return settings
 
 
+def _names(s: dict, key: str) -> list:
+    """The settings' ``key``, which must be a list of names."""
+    names = s[key]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise _UsageError(f"config key {key!r} must be a list of names, not {names!r}")
+    return names
+
+
 def _losses_and_prior(s: dict):
     """The settings' losses and prior; a bad value is a usage error."""
     try:
-        losses = tuple(loss_from_name(n, epsilon=s["epsilon"]) for n in s["losses"])
+        losses = tuple(loss_from_name(n, epsilon=s["epsilon"]) for n in _names(s, "losses"))
         return losses, PriorFactor(variance=float(s["prior_variance"]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
 
 
@@ -173,7 +181,7 @@ def _build_run_config(args) -> RunConfig:
     try:
         schemes = tuple(
             scheme_from_name(n, newton_tol=s["newton_tol"], gamma=s["gamma"])
-            for n in s["schemes"]
+            for n in _names(s, "schemes")
         )
         return RunConfig(
             dataset_path=path,
@@ -191,7 +199,7 @@ def _build_run_config(args) -> RunConfig:
             timing_repetitions=int(s["timing_repetitions"]),
             with_references=bool(s["references"]),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
 
 
@@ -241,24 +249,23 @@ def _cmd_report(args) -> int:
     if not tables:
         print(f"no timing.csv found under {root}", file=sys.stderr)
         return _DATA_ERROR
-    header = ["dataset", "N", "d", "s", "loss", "scheme", "mean_ms_per_minibatch"]
     rows = []
     for table in tables:
         with open(table, newline="") as fh:
             reader = csv.DictReader(fh)
-            missing = [h for h in header if h not in (reader.fieldnames or ())]
+            missing = [h for h in _TIMING_COLUMNS if h not in (reader.fieldnames or ())]
             if missing:
                 raise DataLoadError(
                     f"{table}: no column named {', '.join(map(repr, missing))}")
             for row in reader:
-                short = [h for h in header if row[h] is None]
+                short = [h for h in _TIMING_COLUMNS if row[h] is None]
                 if short:
                     raise DataLoadError(
                         f"{table}: row {reader.line_num} has no value in column {short[0]!r}")
                 rows.append(row)
-    print(",".join(header))
+    print(",".join(_TIMING_COLUMNS))
     for row in rows:
-        print(",".join(row[h] for h in header))
+        print(",".join(row[h] for h in _TIMING_COLUMNS))
     return 0
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .factors import MiniBatchFactor, PriorFactor, bind, prior_as_message
+from .factors import BoundFactor, PriorFactor, prior_as_message
 from .gaussian import DiagGaussian, divide, multiply
 from .ingest import Dataset, partition
 from .losses import LossKind, loss_value
@@ -258,7 +258,12 @@ def classification_costs(thetas, dataset: Dataset, loss: LossKind) -> np.ndarray
 
 
 def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
-    """Run EP over an explicit factor list (anything exposing log_value etc.).
+    """Run EP over an explicit factor list.
+
+    Each factor exposes ``log_value(theta)``, ``log_value_many(thetas)``
+    (an (m, d) stack to m values) and, for ``la`` and ``qla``,
+    ``log_grad_hessdiag(theta)``, as ``BoundFactor`` and ``GaussianFactor``
+    do; ``schemes`` describes the optional margin-space view.
 
     ``cost_fn`` maps an (m, d) stack of parameter vectors to their m costs
     for the trace's total-cost column; when omitted the column is NaN
@@ -348,7 +353,7 @@ def ep_run(config: EpConfig, dataset: Dataset):
     """
     parts = partition(dataset, config.batch_size)
     factors = [
-        bind(MiniBatchFactor(idx, config.loss, config.beta), dataset)
+        BoundFactor(dataset, idx, config.loss, config.beta)
         for idx in parts.batches
     ]
 

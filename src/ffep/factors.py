@@ -16,7 +16,7 @@ never formed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,70 +24,48 @@ from .gaussian import DiagGaussian, eval_log
 from .losses import LossKind, loss_derivatives, loss_value
 
 __all__ = [
-    "MiniBatchFactor",
     "PriorFactor",
     "BoundFactor",
     "GaussianFactor",
     "prior_as_message",
-    "bind",
 ]
 
 
 @dataclass(frozen=True)
-class MiniBatchFactor:
-    """A subset of examples plus loss and inverse temperature beta."""
-
-    batch: np.ndarray  # example indices
-    loss: LossKind
-    beta: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "batch", np.asarray(self.batch, dtype=int).reshape(-1))
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-
-
-@dataclass(frozen=True)
 class PriorFactor:
-    """Fixed Gaussian prior on the classifier parameters."""
+    """Fixed zero-mean Gaussian prior on the classifier parameters."""
 
-    mean: np.ndarray | None = None  # None means all-zero
     variance: float = 25.0
 
     def __post_init__(self):
         if not self.variance > 0:
             raise ValueError("prior variance must be positive")
-        if self.mean is not None:
-            object.__setattr__(
-                self, "mean", np.asarray(self.mean, dtype=float).reshape(-1)
-            )
 
 
 def prior_as_message(prior: PriorFactor, d: int) -> DiagGaussian:
     """The prior as a proper unit-mass message of dimension d."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    mean = np.zeros(d) if prior.mean is None else prior.mean
-    if mean.size != d:
-        raise ValueError(f"prior mean has length {mean.size}, expected {d}")
-    return DiagGaussian.from_mean_var(mean, prior.variance)
+    return DiagGaussian.from_mean_var(np.zeros(d), prior.variance)
 
 
 class BoundFactor:
-    """A mini-batch factor bound to its dataset, ready for scheme evaluation.
+    """The mini-batch factor over rows ``batch`` of ``dataset``.
 
-    Exposes the black-box surface the schemes consume: ``log_value`` at one
-    point, ``log_value_many`` at a stack of points, and
-    ``log_grad_hessdiag`` for the Laplace-style schemes.  ``loss``, ``beta``
-    and ``Z`` (rows y_k * x_k) are its margin-space view: log f(theta) =
-    -beta * sum of loss(Z @ theta), for schemes that solve in margin space.
+    Exposes the surface the schemes consume: ``log_value`` at one point,
+    ``log_value_many`` at a stack of points, and ``log_grad_hessdiag`` for
+    the Laplace-style schemes.  ``loss``, ``beta`` and ``Z`` (rows
+    y_k * x_k) are its margin-space view: log f(theta) = -beta * sum of
+    loss(Z @ theta), for schemes that solve in margin space.
     """
 
-    def __init__(self, factor: MiniBatchFactor, dataset):
-        self.factor = factor
-        self.Z = dataset.labels[factor.batch, None] * dataset.features[factor.batch]
-        self.loss = factor.loss
-        self.beta = factor.beta
+    def __init__(self, dataset, batch, loss: LossKind, beta: float = 1.0):
+        if not beta > 0:
+            raise ValueError("beta must be positive")
+        batch = np.asarray(batch, dtype=int).reshape(-1)  # example indices
+        self.Z = dataset.labels[batch, None] * dataset.features[batch]
+        self.loss = loss
+        self.beta = beta
 
     def log_value(self, theta) -> float:
         return -self.beta * float(np.sum(loss_value(self.loss, self.Z @ theta)))
@@ -119,8 +97,3 @@ class GaussianFactor:
         theta = np.asarray(theta, dtype=float)
         grad = self.g.linear + 2.0 * self.g.neg_half_precision * theta
         return grad, 2.0 * self.g.neg_half_precision.copy()
-
-
-def bind(factor: MiniBatchFactor, dataset) -> BoundFactor:
-    return BoundFactor(factor, dataset)
-

@@ -1,9 +1,13 @@
 """Factor-approximation back-ends: four ways to fit a Gaussian to one factor.
 
 Each scheme answers the same question: given a proper diagonal-Gaussian
-cavity c and a black-box factor f (exposing log-values, and for the
-Laplace-style schemes also gradient/Hessian-diagonal), produce a
-DiagGaussian message g standing in for f.
+cavity c and a black-box factor f, produce a DiagGaussian message g
+standing in for f.  A factor exposes ``log_value(theta)`` and
+``log_value_many(thetas)`` (an (m, d) stack to m log-values); ``la`` and
+``qla`` also call ``log_grad_hessdiag(theta)``, the gradient and Hessian
+diagonal of log f.  A factor may add a margin-space view, ``loss``,
+``beta`` and ``Z`` with log f(theta) = -beta * sum of loss(Z @ theta), as
+``factors.BoundFactor`` does; ``la`` solves hinge batches through it.
 
 * ``la``  - Laplace: find the maximizer of c*f, then fit the second-order
             Taylor expansion of log f there.  A hinge batch's maximizer
@@ -152,13 +156,6 @@ def build_rule(cavity: DiagGaussian, gamma: float | None = None) -> QuadratureRu
     return QuadratureRule(points=pts, weights=w, gamma=g)
 
 
-def _log_values(factor, pts: np.ndarray) -> np.ndarray:
-    fn = getattr(factor, "log_value_many", None)
-    if fn is not None:
-        return np.asarray(fn(pts), dtype=float)
-    return np.array([factor.log_value(p) for p in pts], dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Laplace-style schemes
 # ---------------------------------------------------------------------------
@@ -172,20 +169,6 @@ def _taylor_message(theta, value, grad, hessdiag) -> DiagGaussian:
     return DiagGaussian(log_scale, linear, nhp)
 
 
-def _first_ascent(cavity_logs: np.ndarray, factor, cands: np.ndarray, obj: float):
-    """(index, value) of the first candidate whose log(c*f) is finite and
-    >= obj, else (None, None); ``cavity_logs`` holds their log c."""
-    if getattr(factor, "log_value_many", None) is not None:
-        vals = cavity_logs + _log_values(factor, cands)
-        ok = np.flatnonzero(np.isfinite(vals) & (vals >= obj))
-        return (ok[0], vals[ok[0]]) if ok.size else (None, None)
-    for k, (c, p) in enumerate(zip(cavity_logs, cands)):
-        val = c + factor.log_value(p)
-        if np.isfinite(val) and val >= obj:
-            return k, val
-    return None, None
-
-
 def _newton_mode(cavity: DiagGaussian, factor, scheme: SchemeKind) -> np.ndarray:
     """Maximize log(c*f) by damped Newton on its diagonal curvature.
 
@@ -193,13 +176,12 @@ def _newton_mode(cavity: DiagGaussian, factor, scheme: SchemeKind) -> np.ndarray
     diagonal, and the search starts from the cavity mean.  Each iteration
     tries the full Newton step first; if that lowers the objective, the
     halved steps 2^-1 ... 2^-(_MAX_HALVINGS-1) are scored and the longest
-    one that does not lower it is taken.  They are scored in one batched
-    call, or, for a factor without ``log_value_many``, one at a time from
-    the longest, stopping at the first that qualifies.  When none
-    qualifies, no ascent is left along the Newton direction and the search
-    has converged.  A full step that lowers the objective by at most 4 ulps
-    is a tie, and the search has converged too: which side of the tie it
-    lands on is rounding, as are the halved steps' values.
+    one that does not lower it is taken, all of them scored in one
+    ``log_value_many`` call.  When none qualifies, no ascent is left along
+    the Newton direction and the search has converged.  A full step that
+    lowers the objective by at most 4 ulps is a tie, and the search has
+    converged too: which side of the tie it lands on is rounding, as are
+    the halved steps' values.
     """
     tol = scheme.newton_tol
     theta = cavity.mean.copy()
@@ -223,10 +205,11 @@ def _newton_mode(cavity: DiagGaussian, factor, scheme: SchemeKind) -> np.ndarray
             if obj - val <= 4.0 * np.spacing(abs(obj)):
                 return theta  # the full step changes the objective by rounding only
             cands = theta + _HALVINGS[:, None] * step
-            k, val = _first_ascent(eval_log(cavity, cands), factor, cands, obj)
-            if k is None:
+            vals = eval_log(cavity, cands) + factor.log_value_many(cands)
+            ok = np.flatnonzero(np.isfinite(vals) & (vals >= obj))
+            if not ok.size:
                 return theta  # no ascent available along the Newton direction
-            t, cand = _HALVINGS[k], cands[k]
+            t, cand, val = _HALVINGS[ok[0]], cands[ok[0]], vals[ok[0]]
         theta, obj = cand, val
         if np.all(np.abs(t * step) <= tol * np.maximum(1.0, np.abs(theta))):
             return theta
@@ -397,7 +380,7 @@ def approx_gauss_quadrature(cavity: DiagGaussian, factor,
     """
     scheme = scheme or SchemeKind("gq")
     rule = build_rule(cavity, scheme.gamma)
-    logf = _log_values(factor, rule.points)
+    logf = factor.log_value_many(rule.points)
     shift = float(np.max(logf))
     if not np.isfinite(shift):
         raise SchemeFailure("factor vanishes (or is undefined) at every quadrature point")
@@ -450,7 +433,7 @@ def approx_variational_quadrature(cavity: DiagGaussian, factor,
     scheme = scheme or SchemeKind("vq")
     rule = build_rule(cavity, scheme.gamma)
     d, gamma = rule.dim, rule.gamma
-    logf = _log_values(factor, rule.points)
+    logf = factor.log_value_many(rule.points)
     shift = float(np.max(logf))
     if not np.isfinite(shift):
         raise SchemeFailure("factor vanishes (or is undefined) at every quadrature point")

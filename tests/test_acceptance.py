@@ -19,10 +19,9 @@ import pytest
 from ffep.bench import reference_newton_logistic, reference_powell, total_cost
 from ffep.engine import EpConfig, ep_run, ep_run_factors
 from ffep.factors import (
+    BoundFactor,
     GaussianFactor,
-    MiniBatchFactor,
     PriorFactor,
-    bind,
     prior_as_message,
 )
 from ffep.gaussian import DiagGaussian, eval_log, multiply
@@ -72,13 +71,13 @@ def commensurate_gaussian_factor(rng, cavity):
 def single_example_factor(loss, x, y=1.0):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     ds = Dataset(features=x[None, :], labels=np.array([float(y)]))
-    return bind(MiniBatchFactor(batch=[0], loss=loss), ds)
+    return BoundFactor(ds, batch=[0], loss=loss)
 
 
 def batch_factor(rng, loss, n, d, beta=1.0):
     ds = Dataset(features=rng.normal(size=(n, d)),
                  labels=np.where(rng.normal(size=n) < 0, -1.0, 1.0))
-    return bind(MiniBatchFactor(batch=np.arange(n), loss=loss, beta=beta), ds)
+    return BoundFactor(ds, batch=np.arange(n), loss=loss, beta=beta)
 
 
 def gauss_raw_moment(mean, var, power):
@@ -349,7 +348,7 @@ def test_criterion_08_derivative_checks():
             n = int(rng.integers(1, 7))
             ds = Dataset(features=rng.normal(size=(n, d)),
                          labels=np.where(rng.normal(size=n) < 0, -1.0, 1.0))
-            factor = bind(MiniBatchFactor(np.arange(n), loss), ds)
+            factor = BoundFactor(ds, np.arange(n), loss)
             theta = rng.uniform(-2.0, 2.0, size=d)
             margins = ds.labels * (ds.features @ theta)
             if any(np.min(np.abs(margins - k)) < 1e-2 for k in kinks[loss.name]):

@@ -90,13 +90,6 @@ class TestTotalCost:
             - total_cost(theta, ds, hinge())
         assert gap == pytest.approx((1.0 + 4.0) / 4.0, rel=1e-12)
 
-    def test_prior_mean_shifts_the_quadratic(self):
-        ds = Dataset(features=np.array([[1.0]]), labels=np.array([1.0]))
-        prior = PriorFactor(mean=np.array([3.0]), variance=2.0)
-        gap = total_cost(np.array([4.0]), ds, hinge(), prior) \
-            - total_cost(np.array([4.0]), ds, hinge())
-        assert gap == pytest.approx(0.25, rel=1e-12)
-
 
 class TestNewtonReference:
     def test_single_example_worked_optimum(self):
@@ -143,14 +136,14 @@ class TestNewtonReference:
 
 class TestPowellReference:
     def test_pure_quadratic_bowl_recovers_the_prior_mean(self):
-        # The single example has margin 10*theta_0, inactive near the prior
-        # mean, so the objective is the prior quadratic alone there.
-        ds = Dataset(features=np.array([[10.0, 0.0]]), labels=np.array([1.0]))
-        prior = PriorFactor(mean=np.array([3.0, -2.0]), variance=2.0)
+        # The single example has all-zero features, so its hinge loss is 1
+        # everywhere and the objective is the prior quadratic plus 1.
+        ds = Dataset(features=np.array([[0.0, 0.0]]), labels=np.array([1.0]))
+        prior = PriorFactor(variance=2.0)
         result = reference_powell(ds, hinge(), np.array([2.5, -1.5]), prior)
         assert result.converged
-        np.testing.assert_allclose(result.theta, [3.0, -2.0], atol=1e-6)
-        assert result.cost == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(result.theta, [0.0, 0.0], atol=1e-6)
+        assert result.cost == pytest.approx(1.0, abs=1e-12)
 
     def test_separable_hinge_stops_at_the_kink(self):
         # Along theta = (t, 0) the objective is 2*max(0, 1-t) + t^2/25,
@@ -255,15 +248,14 @@ class TestLineMinimizer:
     def test_matches_a_dense_grid(self, loss):
         reach = 3.0
         dataset, theta, direction = kinked_line(loss, reach)
-        prior = PriorFactor(mean=np.array([0.5, -1.0, 2.0]), variance=4.0)
+        prior = PriorFactor(variance=4.0)
         objective, f0, moved, f = self.search(dataset, loss, prior, theta, direction)
 
         ts = np.linspace(-reach, reach, 600_001)
         points = theta + ts[:, None] * direction
         margins = (points @ dataset.features.T) * dataset.labels
-        diff = points - prior.mean
         grid = loss_value(loss, margins).sum(axis=1) \
-            + (diff * diff).sum(axis=1) / (2.0 * prior.variance)
+            + (points * points).sum(axis=1) / (2.0 * prior.variance)
         t = (moved - theta)[0]
         np.testing.assert_allclose(moved, theta + t * direction, rtol=0, atol=1e-15)
         assert f == objective(moved) < f0
@@ -271,12 +263,13 @@ class TestLineMinimizer:
         assert abs(t - ts[np.argmin(grid)]) <= 2 * (ts[1] - ts[0])
 
     def test_line_without_descent_is_left_alone(self):
-        # The single example's margin is 30, past the kink, and theta is the
-        # prior mean, so t = 0 minimizes the line.
-        ds = Dataset(features=np.array([[10.0, 0.0]]), labels=np.array([1.0]))
-        theta = np.array([3.0, -2.0])
-        prior = PriorFactor(mean=theta.copy(), variance=2.0)
-        _, f0, moved, f = self.search(ds, hinge(), prior, theta, np.array([1.0, 0.0]))
+        # The single example's margin is 30, past the kink at t = -29, and the
+        # line is orthogonal to theta, so the prior quadratic and with it the
+        # objective are least at t = 0.
+        ds = Dataset(features=np.array([[10.0, 1.0]]), labels=np.array([1.0]))
+        theta = np.array([3.0, 0.0])
+        prior = PriorFactor(variance=2.0)
+        _, f0, moved, f = self.search(ds, hinge(), prior, theta, np.array([0.0, 1.0]))
         assert moved is theta and f == f0
 
     def test_point_scored_uphill_is_not_taken(self, synthetic_dataset):

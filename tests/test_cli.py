@@ -105,8 +105,8 @@ class TestRunCommand:
         assert "data error" in capsys.readouterr().err
 
     def test_failed_runs_exit_with_code_three(self, tmp_path, small_csv, capsys):
-        # Streaming is a single pass; asking for five sweeps fails every run.
-        cfg = write_config(tmp_path, small_csv, mode="streaming", sweeps=5)
+        # Batches larger than the 40-row table fail every run, once it is read.
+        cfg = write_config(tmp_path, small_csv, batch_size=41)
         assert main(["run", "--config", str(cfg)]) == 3
         assert "FAILED" in capsys.readouterr().err
 
@@ -164,15 +164,38 @@ class TestReferenceCommand:
         assert (tmp_path / "results" / "references.json").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "reference"])
-class TestBadSettingsAreUsageErrors:
-    """Both subcommands build losses and the prior the same way, before any data is read."""
+# (id, flags, config overrides, message): settings both subcommands read
+BAD_SETTINGS = [
+    ("unknown-loss", ["--loss", "foo"], {}, "unknown loss 'foo'"),
+    ("zero-epsilon", [], {"losses": ["quasi01"], "epsilon": 0}, "epsilon must be positive"),
+    ("negative-prior-variance", [], {"prior_variance": -1}, "prior variance must be positive"),
+    ("null-prior-variance", [], {"prior_variance": None}, "NoneType"),
+    ("losses-not-a-list", [], {"losses": "hinge"}, "'losses' must be a list of names"),
+]
+# settings only ``ffep run`` reads: the schemes and the EP protocol
+BAD_RUN_SETTINGS = [
+    ("zero-batch-size", ["--batch-size", "0"], {}, "batch_size must be at least 1"),
+    ("zero-sweeps", ["--sweeps", "0"], {}, "n_sweeps must be at least 1"),
+    ("zero-beta", [], {"beta": 0}, "beta must be positive"),
+    ("zero-cost-every", [], {"cost_every": 0}, "cost_every must be at least 1"),
+    ("streaming-sweeps", ["--mode", "streaming", "--sweeps", "3"], {},
+     "streaming mode is a single pass"),
+    ("string-gamma", [], {"gamma": "x"}, "not supported between"),
+    ("schemes-not-a-list", [], {"schemes": "la"}, "'schemes' must be a list of names"),
+]
 
-    @pytest.mark.parametrize("flags, overrides, message", [
-        (["--loss", "foo"], {}, "unknown loss 'foo'"),
-        ([], {"losses": ["quasi01"], "epsilon": 0}, "epsilon must be positive"),
-        ([], {"prior_variance": -1}, "prior variance must be positive"),
-    ], ids=["unknown-loss", "zero-epsilon", "negative-prior-variance"])
+
+class TestBadSettingsAreUsageErrors:
+    """Bad settings are usage errors, reported before any data is read."""
+
+    @pytest.mark.parametrize("command, flags, overrides, message", [
+        pytest.param(command, flags, overrides, message, id=f"{name}-{command}")
+        for name, flags, overrides, message in BAD_SETTINGS
+        for command in ("run", "reference")
+    ] + [
+        pytest.param("run", flags, overrides, message, id=f"{name}-run")
+        for name, flags, overrides, message in BAD_RUN_SETTINGS
+    ])
     def test_exits_one_with_a_message(self, tmp_path, small_csv, capsys,
                                       command, flags, overrides, message):
         cfg = write_config(tmp_path, small_csv, **overrides)

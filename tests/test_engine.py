@@ -350,8 +350,8 @@ class TestCostReuse:
         return cost_fn, rows
 
     def test_unchanged_posterior_is_costed_once(self):
-        cost_fn, rows = self.counting(lambda th: 1.0 + th[0])
-        cfg = config("qla", prior=PriorFactor(mean=[0.25], variance=1.0), n_sweeps=3)
+        cost_fn, rows = self.counting(lambda th: 1.25 + th[0])
+        cfg = config("qla", prior=PriorFactor(variance=1.0), n_sweeps=3)
         _, trace = ep_run_factors([hopeless_factor()], 1, cfg, cost_fn=cost_fn)
         assert [r.update_status for r in trace.records] == ["rejected"] * 3
         assert len(rows) == 1

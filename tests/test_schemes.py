@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ffep import schemes
-from ffep.engine import EpConfig, ep_run, ep_run_factors
-from ffep.factors import GaussianFactor, MiniBatchFactor, bind
+from ffep.engine import EpConfig, ep_run
+from ffep.factors import BoundFactor, GaussianFactor
 from ffep.gaussian import (
     DiagGaussian,
     ImproperGaussianError,
@@ -16,7 +16,7 @@ from ffep.gaussian import (
     eval_log,
     multiply,
 )
-from ffep.ingest import Dataset, partition
+from ffep.ingest import Dataset
 from ffep.losses import hinge, is_piecewise_linear, logistic, quasi01
 from ffep.schemes import (
     _MAX_HALVINGS,
@@ -79,7 +79,7 @@ def constant_factor(log_c, d):
 def single_example_factor(loss, x, y=1.0):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     ds = Dataset(features=x[None, :], labels=np.array([y]))
-    return bind(MiniBatchFactor(batch=[0], loss=loss), ds)
+    return BoundFactor(ds, batch=[0], loss=loss)
 
 
 def quadrature_moments(cavity, factor):
@@ -217,7 +217,7 @@ class TestLaplace:
             d = int(rng.integers(1, 5))
             ds = Dataset(features=rng.normal(size=(8, d)),
                          labels=np.where(rng.normal(size=8) < 0, -1.0, 1.0))
-            factor = bind(MiniBatchFactor(np.arange(8), logistic()), ds)
+            factor = BoundFactor(ds, np.arange(8), logistic())
             cavity = random_cavity(rng, d)
             # Coordinate-wise Newton converges linearly on coupled factors,
             # so a tight tolerance needs more than the default iteration cap.
@@ -295,8 +295,9 @@ def stepwise_laplace(cavity, factor, scheme=None):
     return msg
 
 
-class LogValueOnlyFactor:
-    """A factor without log_value_many, so the schemes score points one by one."""
+class BlackBoxFactor:
+    """A data batch without its margin-space view: approx_laplace takes the
+    Newton search and the factor's own slope on it, whatever the loss."""
 
     def __init__(self, factor):
         self.factor = factor
@@ -304,26 +305,11 @@ class LogValueOnlyFactor:
     def log_value(self, theta):
         return self.factor.log_value(theta)
 
-    def log_grad_hessdiag(self, theta):
-        return self.factor.log_grad_hessdiag(theta)
-
-
-class CountingFactor(LogValueOnlyFactor):
-    """A LogValueOnlyFactor that counts its log_value calls."""
-
-    calls = 0
-
-    def log_value(self, theta):
-        self.calls += 1
-        return super().log_value(theta)
-
-
-class BlackBoxFactor(LogValueOnlyFactor):
-    """A data batch without its margin-space view: approx_laplace takes the
-    Newton search and the factor's own slope on it, whatever the loss."""
-
     def log_value_many(self, thetas):
         return self.factor.log_value_many(thetas)
+
+    def log_grad_hessdiag(self, theta):
+        return self.factor.log_grad_hessdiag(theta)
 
 
 class TiedStepFactor:
@@ -381,13 +367,12 @@ class TestLaplaceLineSearch:
     def batched_calls(self, monkeypatch):
         """Sizes of the point stacks approx_laplace scores in one call."""
         sizes = []
-        log_values = schemes._log_values
+        for cls in (BoundFactor, TiedStepFactor):
+            def counting(factor, pts, log_value_many=cls.log_value_many):
+                sizes.append(len(pts))
+                return log_value_many(factor, pts)
 
-        def counting(factor, pts):
-            sizes.append(len(pts))
-            return log_values(factor, pts)
-
-        monkeypatch.setattr(schemes, "_log_values", counting)
+            monkeypatch.setattr(cls, "log_value_many", counting)
         return sizes
 
     @pytest.mark.parametrize("loss", [logistic(), hinge(), quasi01()],
@@ -398,7 +383,7 @@ class TestLaplaceLineSearch:
         d = synthetic_dataset.dim
         for start in range(0, synthetic_dataset.n_examples, 10):
             batch = np.arange(start, min(start + 10, synthetic_dataset.n_examples))
-            factor = bind(MiniBatchFactor(batch, loss), synthetic_dataset)
+            factor = BoundFactor(synthetic_dataset, batch, loss)
             if loss.name == "hinge":
                 factor = BlackBoxFactor(factor)
             cavity = random_cavity(rng, d, log_var_range=(-1.5, 3.2), mean_scale=5.0)
@@ -426,46 +411,6 @@ class TestLaplaceLineSearch:
             cavity = random_cavity(rng, int(rng.integers(1, 6)))
             assert_same_laplace_outcome(cavity, random_gaussian_factor(rng, cavity))
 
-    def test_matches_stepwise_search_without_log_value_many(self, synthetic_dataset,
-                                                             monkeypatch):
-        searches, first_ascent = [], schemes._first_ascent
-
-        def counting(*args):
-            searches.append(1)
-            return first_ascent(*args)
-
-        monkeypatch.setattr(schemes, "_first_ascent", counting)
-        rng = np.random.default_rng(27)
-        d = synthetic_dataset.dim
-        for start in range(0, 100, 10):
-            factor = bind(MiniBatchFactor(np.arange(start, start + 10), hinge()),
-                          synthetic_dataset)
-            cavity = random_cavity(rng, d, log_var_range=(-1.5, 3.2), mean_scale=5.0)
-            assert_same_laplace_outcome(cavity, LogValueOnlyFactor(factor))
-        assert searches  # the per-point fallback scored the halvings
-
-    def test_per_point_search_stops_at_the_first_ascent(self, synthetic_dataset,
-                                                         monkeypatch):
-        # looping la/hinge through factors without log_value_many lands where
-        # the batched search does, scoring no more points than a stepwise search
-        def run(wrapper):
-            factors = [wrapper(bind(MiniBatchFactor(idx, hinge()), synthetic_dataset))
-                       for idx in partition(synthetic_dataset, 10).batches]
-            cfg = EpConfig(scheme=SchemeKind("la"), loss=hinge(), batch_size=10)
-            state, trace = ep_run_factors(factors, synthetic_dataset.dim, cfg)
-            return state.global_approx, trace, sum(getattr(f, "calls", 0) for f in factors)
-
-        batched, batched_trace, _ = run(BlackBoxFactor)
-        g, trace, calls = run(CountingFactor)
-        monkeypatch.setitem(schemes._DISPATCH, "la", stepwise_laplace)
-        _, _, stepwise_calls = run(CountingFactor)
-        assert ([r.update_status for r in trace.records]
-                == [r.update_status for r in batched_trace.records])
-        np.testing.assert_array_equal(g.linear, batched.linear)
-        np.testing.assert_array_equal(g.neg_half_precision, batched.neg_half_precision)
-        assert g.log_scale == batched.log_scale
-        assert 0 < calls <= stepwise_calls
-
     def test_looping_quasi01_run_matches_stepwise_search(self, synthetic_dataset,
                                                          monkeypatch):
         cfg = EpConfig(scheme=SchemeKind("la"), loss=quasi01(), batch_size=10)
@@ -484,7 +429,7 @@ def hinge_batch(Z_rows, beta=1.0):
     """A hinge factor whose rows y_k x_k are ``Z_rows`` (labels all +1)."""
     Z_rows = np.atleast_2d(np.asarray(Z_rows, dtype=float))
     ds = Dataset(features=Z_rows, labels=np.ones(len(Z_rows)))
-    return bind(MiniBatchFactor(np.arange(len(Z_rows)), hinge(), beta), ds)
+    return BoundFactor(ds, np.arange(len(Z_rows)), hinge(), beta)
 
 
 def tilted_mode(cavity, factor):
@@ -535,8 +480,8 @@ class TestHingeMode:
         n, d = synthetic_dataset.n_examples, synthetic_dataset.dim
         sizes = []
         for start in range(0, n, 10):
-            factor = bind(MiniBatchFactor(np.arange(start, min(start + 10, n)), hinge(), beta),
-                          synthetic_dataset)
+            factor = BoundFactor(synthetic_dataset, np.arange(start, min(start + 10, n)),
+                                 hinge(), beta)
             cavity = random_cavity(rng, d, log_var_range=(-1.5, 3.2), mean_scale=5.0)
             Z, lam, mu = factor.Z, cavity.precision, cavity.mean
             Q, b = (Z / lam) @ Z.T, 1.0 - Z @ mu
@@ -799,6 +744,9 @@ class TestGaussQuadrature:
             def log_value(self, theta):
                 return -np.inf
 
+            def log_value_many(self, thetas):
+                return np.full(len(thetas), -np.inf)
+
         cavity = DiagGaussian.from_mean_var([0.0], [1.0])
         with pytest.raises(SchemeFailure):
             approx_gauss_quadrature(cavity, ZeroFactor())
@@ -933,8 +881,7 @@ class TestVariationalQuadrature:
         surrogate's stationary point in cavity-standardized coordinates."""
         d = synthetic_dataset.dim
         cavity = DiagGaussian.from_mean_var(np.zeros(d), np.full(d, 25.0))
-        factor = bind(MiniBatchFactor(batch=list(range(10)), loss=loss),
-                      synthetic_dataset)
+        factor = BoundFactor(synthetic_dataset, batch=list(range(10)), loss=loss)
         msg = approx_variational_quadrature(cavity, factor)
         assert msg.is_finite()
 
@@ -959,6 +906,9 @@ class TestVariationalQuadrature:
         class ZeroFactor:
             def log_value(self, theta):
                 return -np.inf
+
+            def log_value_many(self, thetas):
+                return np.full(len(thetas), -np.inf)
 
         cavity = DiagGaussian.from_mean_var([0.0], [1.0])
         with pytest.raises(SchemeFailure):
