@@ -1,0 +1,63 @@
+"""Regenerate ``tests/golden_runs.json``, the frozen outputs that
+``test_golden_runs.py`` compares bit for bit.
+
+Usage: ``PYTHONPATH=src python tests/make_golden_runs.py``
+
+Every loss x scheme pair runs on the bundled synthetic306 table with the
+``ffep run`` defaults (s = 10, beta = 1, prior variance 25, quasi 0-1
+epsilon 0.1), once looping for five sweeps and once streaming.  Each run
+keeps the final posterior's natural parameters as hex floats, every sweep's
+applied/rejected/scheme_failed counts and the last trace cost.
+
+The file is a frozen contract, like the reference constants: regenerate it
+only in a change that moves these numbers on purpose, and say so in
+CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from ffep.engine import EpConfig, ep_run
+from ffep.ingest import bundled_synthetic_path, bundled_synthetic_schema, load_csv, preprocess
+from ffep.losses import loss_from_name
+from ffep.schemes import SchemeKind
+
+GOLDEN_PATH = Path(__file__).with_name("golden_runs.json")
+MODES = ("looping", "streaming")
+LOSSES = ("logistic", "hinge", "quasi01")
+SCHEMES = ("la", "qla", "gq", "vq")
+RUN_KEYS = [f"{m}/{loss}/{k}" for m in MODES for loss in LOSSES for k in SCHEMES]
+
+
+def load_synthetic306():
+    return preprocess(load_csv(bundled_synthetic_path(), bundled_synthetic_schema()),
+                      name="synthetic306")
+
+
+def golden_run(dataset, key: str) -> dict:
+    """One run's frozen record; ``key`` is ``mode/loss/scheme``."""
+    mode, loss, scheme = key.split("/")
+    config = EpConfig(scheme=SchemeKind(scheme), loss=loss_from_name(loss), mode=mode)
+    state, trace = ep_run(config, dataset)
+    g = state.global_approx
+    return {
+        "log_scale": g.log_scale.hex(),
+        "linear": [float(v).hex() for v in g.linear],
+        "neg_half_precision": [float(v).hex() for v in g.neg_half_precision],
+        "sweeps": [[s.applied, s.rejected, s.scheme_failed] for s in trace.sweeps],
+        "last_cost": trace.records[-1].total_cost.hex(),
+    }
+
+
+def main():
+    dataset = load_synthetic306()
+    runs = {key: golden_run(dataset, key) for key in RUN_KEYS}
+    lines = ",\n".join(f" {json.dumps(key)}: {json.dumps(run)}" for key, run in runs.items())
+    GOLDEN_PATH.write_text("{\n" + lines + "\n}\n")
+    print(f"wrote {len(runs)} runs to {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    main()
