@@ -54,14 +54,14 @@ def main():
         for kind in ("la", "qla", "gq", "vq"):
             cfg = EpConfig(scheme=SchemeKind(kind=kind), loss=loss,
                            batch_size=10, prior=PRIOR)
-            state, trace = ep_run(cfg, dataset)
+            _, trace = ep_run(cfg, dataset)
             final = trace.records[-1].total_cost
             last = trace.costs(sweep=cfg.resolved_sweeps - 1)
-            failures = sum(r.update_status == "scheme_failed"
-                           for r in trace.records)
+            rejected = sum(s.rejected for s in trace.sweeps)
+            failures = sum(s.scheme_failed for s in trace.sweeps)
             print(f"  {kind:<6} {final:>10.4f} {100 * (final - ref) / ref:>+8.2f}% "
                   f"{float(last.max() - last.min()):>14.4f} "
-                  f"{state.rejected_updates:>4d} {failures:>4d} "
+                  f"{rejected:>4d} {failures:>4d} "
                   f"{trace.total_ms / trace.n_visits:>8.3f}")
         print()
 

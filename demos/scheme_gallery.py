@@ -22,7 +22,7 @@ from ffep.factors import BoundFactor
 from ffep.gaussian import DiagGaussian, eval_log, multiply
 from ffep.ingest import Dataset
 from ffep.losses import hinge
-from ffep.schemes import approximate, scheme_from_name
+from ffep.schemes import SchemeKind, approximate
 
 CAVITY_MEAN = -1.0
 CAVITY_VAR = 1.0
@@ -63,7 +63,7 @@ def main():
           f"{'post var':>9} {'mean err':>9}")
 
     for name in ("la", "qla", "gq", "vq"):
-        msg = approximate(scheme_from_name(name), cavity, factor)
+        msg = approximate(SchemeKind(name), cavity, factor)
         post = multiply(cavity, msg)
         prec = float(msg.precision[0])
         mean = float(post.mean[0])
@@ -86,7 +86,7 @@ def main():
     print("\nnarrow cavity N(-1, 0.25^2), generalized KL of cavity x factor"
           "\nfrom cavity x message (dense grid):")
     for name in ("gq", "vq"):
-        msg = approximate(scheme_from_name(name), narrow, factor)
+        msg = approximate(SchemeKind(name), narrow, factor)
         print(f"  {name}: {generalized_kl(narrow, factor, msg):.6f}")
 
 

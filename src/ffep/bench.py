@@ -363,7 +363,6 @@ def run_experiment(config: RunConfig) -> dict:
                     reference_cost=None if ref is None else ref["cost"],
                 )
                 final_cost = total_cost(state.global_approx.mean, dataset, loss)
-                statuses = [r.update_status for r in trace.records]
                 timing_rows.append(
                     TimingRow(
                         config.dataset_name, dataset.n_examples, dataset.dim,
@@ -381,8 +380,8 @@ def run_experiment(config: RunConfig) -> dict:
                             state.global_approx.mean, dataset, loss, config.prior
                         ),
                         "reference_cost": None if ref is None else ref["cost"],
-                        "rejected_updates": state.rejected_updates,
-                        "scheme_failures": statuses.count("scheme_failed"),
+                        "rejected_updates": sum(s.rejected for s in trace.sweeps),
+                        "scheme_failures": sum(s.scheme_failed for s in trace.sweeps),
                         "mean_ms_per_minibatch": statistics.median(per_batch_ms),
                         "sweeps": [asdict(rec) for rec in trace.sweeps],
                     }

@@ -31,7 +31,7 @@ from .ingest import (
     preprocess,
 )
 from .losses import loss_from_name
-from .schemes import scheme_from_name
+from .schemes import SchemeKind
 
 __all__ = ["main"]
 
@@ -164,6 +164,14 @@ def _names(s: dict, key: str) -> list:
     return names
 
 
+def _typed(s: dict, key: str, kind, what: str):
+    """The settings' ``key``, which must be a ``kind``; a bool is no integer."""
+    value = s[key]
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        raise _UsageError(f"config key {key!r} must be {what}, not {value!r}")
+    return value
+
+
 def _losses_and_prior(s: dict):
     """The settings' losses and prior; a bad value is a usage error."""
     try:
@@ -180,7 +188,7 @@ def _build_run_config(args) -> RunConfig:
     losses, prior = _losses_and_prior(s)
     try:
         schemes = tuple(
-            scheme_from_name(n, newton_tol=s["newton_tol"], gamma=s["gamma"])
+            SchemeKind(n, newton_tol=s["newton_tol"], gamma=s["gamma"])
             for n in _names(s, "schemes")
         )
         return RunConfig(
@@ -190,14 +198,14 @@ def _build_run_config(args) -> RunConfig:
             schemes=schemes,
             out_dir=s["out"],
             dataset_name=name,
-            batch_size=int(s["batch_size"]),
-            n_sweeps=s["sweeps"],
+            batch_size=_typed(s, "batch_size", int, "an integer"),
+            n_sweeps=_typed(s, "sweeps", (int, type(None)), "an integer or null"),
             mode=s["mode"],
             beta=float(s["beta"]),
             prior=prior,
-            cost_every=int(s["cost_every"]),
-            timing_repetitions=int(s["timing_repetitions"]),
-            with_references=bool(s["references"]),
+            cost_every=_typed(s, "cost_every", int, "an integer"),
+            timing_repetitions=_typed(s, "timing_repetitions", int, "an integer"),
+            with_references=_typed(s, "references", bool, "true or false"),
         )
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from exc

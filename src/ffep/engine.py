@@ -13,15 +13,18 @@ Two modes share one code path:
   Because removing a unit message subtracts exact zeros, a streaming run is
   bit-identical to the first looping sweep.
 
-Every sweep visits the factors in their fixed order, and an accepted update
-replaces the stored message with the refreshed one in full.
+Every sweep visits the factors in their fixed order.  A visit forms the
+cavity, fits the factor with the configured scheme and hands the candidate
+to ``gate_update``, which returns the posterior cavity * candidate it
+checked (or None); an accepted posterior becomes the global approximation
+as it is, and the refreshed message replaces the stored one in full.
 
 Runs always execute the configured number of sweeps; stationarity is
 something we measure, never a stopping rule: the trace records, per sweep,
 the largest change of any posterior mean and precision over that sweep and
-how many visits were applied, rejected and failed by the scheme.  Scheme
-failures and gated-out updates are recorded in the trace and skipped, not
-raised.
+how many visits were applied, rejected and failed by the scheme.  Those
+per-sweep counts are the only tally of visit outcomes.  Scheme failures and
+gated-out updates are recorded in the trace and skipped, not raised.
 
 The trace's cost column is evaluated in stacks.  ``cost_fn`` maps an (m, d)
 stack of posterior means to m costs (``classification_costs`` is the one
@@ -110,20 +113,20 @@ class EpConfig:
 
 @dataclass
 class EpState:
-    """Mutable run state: the posterior, stored messages, and counters.
+    """Mutable run state: the posterior and the stored messages.
 
     In looping mode row k of ``linear`` and ``neg_half_precision`` (both
     (K, d)) and entry k of ``log_scale`` (K,) hold factor k's message; every
     row starts as the unit message.  Streaming stores no messages, so all
     three are None.  ``messages`` is a read-only snapshot of the rows as
-    DiagGaussian values (None when streaming).
+    DiagGaussian values (None when streaming).  Visit outcomes are counted
+    in the trace's SweepRecords, not here.
     """
 
     global_approx: DiagGaussian
     linear: np.ndarray | None = None
     neg_half_precision: np.ndarray | None = None
     log_scale: np.ndarray | None = None
-    rejected_updates: int = 0
 
     @classmethod
     def start(cls, prior_msg: DiagGaussian, n_messages: int | None) -> "EpState":
@@ -181,9 +184,6 @@ class EpTrace:
     records: list[TraceRecord] = field(default_factory=list)
     sweeps: list[SweepRecord] = field(default_factory=list)
 
-    def append(self, rec: TraceRecord):
-        self.records.append(rec)
-
     @property
     def n_visits(self) -> int:
         return len(self.records)
@@ -202,17 +202,18 @@ class EpTrace:
         return np.asarray(vals, dtype=float)
 
 
-def gate_update(cavity: DiagGaussian, candidate: DiagGaussian) -> bool:
-    """Accept a candidate message iff it keeps the posterior proper.
+def gate_update(cavity: DiagGaussian, candidate: DiagGaussian) -> DiagGaussian | None:
+    """The posterior cavity * candidate if it is admissible, else None.
 
-    Proper here means every coordinate's precision stays above a small
-    positive floor; the candidate must also be entirely finite.  Improper
-    candidates as such are fine — only the resulting posterior matters.
+    Admissible means the candidate is entirely finite and every coordinate
+    of the posterior's precision stays above a small positive floor.
+    Improper candidates as such are fine — only the resulting posterior
+    matters.
     """
     if not candidate.is_finite():
-        return False
+        return None
     posterior = multiply(cavity, candidate)
-    return bool((posterior.precision > _PRECISION_FLOOR).all())
+    return posterior if (posterior.precision > _PRECISION_FLOOR).all() else None
 
 
 def posterior_mode(state: EpState) -> np.ndarray:
@@ -286,26 +287,22 @@ def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
         visits = []  # (status, cost slot, cumulative ms) per visit
         for k in range(len(factors)):
             visit += 1
-            status = "applied"
+            status = "rejected"
 
             tic = time.perf_counter()
             cavity = divide(state.global_approx, state.message(k)) if looping else state.global_approx
-            if not cavity.is_proper:
-                status = "rejected"
-                state.rejected_updates += 1
-            else:
+            if cavity.is_proper:
                 try:
                     candidate = approximate(config.scheme, cavity, factors[k])
                 except SchemeFailure:
                     status = "scheme_failed"
                 else:
-                    if gate_update(cavity, candidate):
-                        state.global_approx = multiply(cavity, candidate)
+                    posterior = gate_update(cavity, candidate)
+                    if posterior is not None:
+                        status = "applied"
+                        state.global_approx = posterior
                         if looping:
                             state.store(k, candidate)
-                    else:
-                        status = "rejected"
-                        state.rejected_updates += 1
             elapsed += time.perf_counter() - tic
 
             # bookkeeping below is outside the timed region
@@ -330,7 +327,7 @@ def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
             costs.extend(cost_fn(means[-1][None, :]))
         cost = costs[-1]
         for k, (status, slot, ms) in enumerate(visits):
-            trace.append(TraceRecord(sweep, k, status, float(costs[slot + 2]), ms))
+            trace.records.append(TraceRecord(sweep, k, status, float(costs[slot + 2]), ms))
         statuses = [v[0] for v in visits]
         g = state.global_approx
         trace.sweeps.append(SweepRecord(
@@ -351,10 +348,9 @@ def ep_run(config: EpConfig, dataset: Dataset):
     the current posterior mode (no prior term, matching how training curves
     are usually plotted), from ``classification_costs``.
     """
-    parts = partition(dataset, config.batch_size)
     factors = [
         BoundFactor(dataset, idx, config.loss, config.beta)
-        for idx in parts.batches
+        for idx in partition(dataset, config.batch_size)
     ]
 
     def cost_fn(thetas):

@@ -44,8 +44,6 @@ class PriorFactor:
 
 def prior_as_message(prior: PriorFactor, d: int) -> DiagGaussian:
     """The prior as a proper unit-mass message of dimension d."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
     return DiagGaussian.from_mean_var(np.zeros(d), prior.variance)
 
 

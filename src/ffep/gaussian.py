@@ -79,11 +79,6 @@ class DiagGaussian:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def unit(cls, dim: int) -> "DiagGaussian":
-        """The identity message g(theta) = 1 (all natural parameters zero)."""
-        return cls(0.0, np.zeros(dim), np.zeros(dim))
-
-    @classmethod
     def from_mean_var(cls, mean, var, log_mass: float = 0.0) -> "DiagGaussian":
         """Proper Gaussian with the given per-coordinate mean/variance and total mass."""
         mean = np.asarray(mean, dtype=float).reshape(-1)
@@ -164,10 +159,6 @@ class MomentVector:
         object.__setattr__(self, "m0", float(self.m0))
         object.__setattr__(self, "m1", m1)
         object.__setattr__(self, "m2", m2)
-
-    @property
-    def dim(self) -> int:
-        return self.m1.size
 
 
 def _check_dims(a: DiagGaussian, b: DiagGaussian):

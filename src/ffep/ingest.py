@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "ColumnSchema",
     "RawTable",
     "Dataset",
-    "MiniBatchPartition",
     "DataLoadError",
     "load_csv",
     "preprocess",
@@ -110,18 +109,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-
-@dataclass(frozen=True)
-class MiniBatchPartition:
-    """Ordered disjoint index batches covering all examples."""
-
-    batch_size: int
-    batches: list = field(default_factory=list)
-
-    @property
-    def n_batches(self) -> int:
-        return len(self.batches)
 
 
 def _resolve(col, names, row_len, where):
@@ -292,8 +279,9 @@ def preprocess(table: RawTable, name: str = "dataset") -> Dataset:
     )
 
 
-def partition(dataset: Dataset, s: int) -> MiniBatchPartition:
-    """Split example indices into mini-batches of size ``s``.
+def partition(dataset: Dataset, s: int) -> list[np.ndarray]:
+    """Split example indices into mini-batches of size ``s``: ordered,
+    disjoint index arrays covering every example.
 
     Batches are contiguous ranges in dataset order; the remainder batch is
     kept.
@@ -302,8 +290,7 @@ def partition(dataset: Dataset, s: int) -> MiniBatchPartition:
     if not 1 <= s <= n:
         raise ValueError(f"batch size {s} out of range [1, {n}]")
     order = np.arange(n)
-    batches = [order[i : i + s] for i in range(0, n, s)]
-    return MiniBatchPartition(batch_size=s, batches=batches)
+    return [order[i : i + s] for i in range(0, n, s)]
 
 
 def bundled_synthetic_path():

@@ -28,7 +28,8 @@ diagonal of log f.  A factor may add a margin-space view, ``loss``,
 
 Messages may legitimately come out improper (nonnegative theta^2
 coefficient); admissibility is the EP engine's call, not ours.  Failures to
-produce any message at all raise SchemeFailure.
+produce any message at all raise SchemeFailure.  An improper cavity has no
+moments: each scheme reads its mean first, which raises ImproperGaussianError.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 
 from .gaussian import (
     DiagGaussian,
-    ImproperGaussianError,
     MomentMatchError,
     MomentVector,
     divide,
@@ -111,9 +111,8 @@ class SchemeKind:
             raise ValueError("gamma must be positive")
 
 
-def scheme_from_name(name: str, newton_tol: float = 1e-5,
-                     newton_max_iter: int = 50, gamma: float | None = None) -> SchemeKind:
-    return SchemeKind(name, newton_tol, newton_max_iter, gamma)
+# selecting a scheme by name is constructing its SchemeKind, defaults and all
+scheme_from_name = SchemeKind
 
 
 @dataclass(frozen=True)
@@ -123,10 +122,6 @@ class QuadratureRule:
     points: np.ndarray  # (2d+1, d): center, then +gamma spokes, then -gamma spokes
     weights: np.ndarray  # (2d+1,)
     gamma: float
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 def default_gamma(d: int) -> float:
@@ -141,8 +136,6 @@ def build_rule(cavity: DiagGaussian, gamma: float | None = None) -> QuadratureRu
     spoke; they sum to one for any gamma, and the rule integrates polynomials
     of total degree <= 3 against the cavity exactly.
     """
-    if not cavity.is_proper:
-        raise ImproperGaussianError("quadrature rule needs a proper cavity")
     d = cavity.dim
     g = default_gamma(d) if gamma is None else float(gamma)
     mu = cavity.mean
@@ -330,8 +323,6 @@ def approx_laplace(cavity: DiagGaussian, factor, scheme: SchemeKind | None = Non
     gradient and Hessian diagonal at theta*.
     """
     scheme = scheme or SchemeKind("la")
-    if not cavity.is_proper:
-        raise ImproperGaussianError("Laplace fitting needs a proper cavity")
     loss = getattr(factor, "loss", None)
     kinked = isinstance(loss, LossKind) and is_piecewise_linear(loss)
     if kinked and loss.name == "hinge":
@@ -354,8 +345,6 @@ def approx_laplace(cavity: DiagGaussian, factor, scheme: SchemeKind | None = Non
 def approx_quick_laplace(cavity: DiagGaussian, factor,
                          scheme: SchemeKind | None = None) -> DiagGaussian:
     """Taylor fit of the log-factor at the cavity mean; no inner optimization."""
-    if not cavity.is_proper:
-        raise ImproperGaussianError("quick Laplace needs a proper cavity")
     mu = cavity.mean
     value = factor.log_value(mu)
     grad_f, hd_f = factor.log_grad_hessdiag(mu)
@@ -432,7 +421,7 @@ def approx_variational_quadrature(cavity: DiagGaussian, factor,
     """
     scheme = scheme or SchemeKind("vq")
     rule = build_rule(cavity, scheme.gamma)
-    d, gamma = rule.dim, rule.gamma
+    d, gamma = cavity.dim, rule.gamma
     logf = factor.log_value_many(rule.points)
     shift = float(np.max(logf))
     if not np.isfinite(shift):

@@ -430,7 +430,7 @@ def test_criterion_09d_gq_behavior_recorded(synthetic_dataset):
         failures = sum(r.update_status == "scheme_failed" for r in trace.records)
         print(f"criterion 9d gq/{loss.name}: final={final:.4f} "
               f"last_sweep_range={float(last.max() - last.min()):.4f} "
-              f"scheme_failures={failures} rejected={state.rejected_updates}")
+              f"scheme_failures={failures} rejected={sum(s.rejected for s in trace.sweeps)}")
         assert np.isfinite(final)
     assert time.perf_counter() - t0 < 120.0
 

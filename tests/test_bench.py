@@ -285,8 +285,8 @@ class TestLineMinimizer:
 class TestWriteTrace:
     def make_trace(self):
         trace = EpTrace()
-        trace.append(TraceRecord(0, 0, "applied", 12.5, 0.25))
-        trace.append(TraceRecord(0, 1, "scheme_failed", np.nan, 0.75))
+        trace.records.append(TraceRecord(0, 0, "applied", 12.5, 0.25))
+        trace.records.append(TraceRecord(0, 1, "scheme_failed", np.nan, 0.75))
         return trace
 
     def test_round_trip_with_reference_comment(self, tmp_path):
@@ -383,6 +383,9 @@ class TestRunExperiment:
         assert set(sweeps[0]) == {"sweep", "max_mean_change", "max_precision_change",
                                   "applied", "rejected", "scheme_failed"}
         assert sweeps[0]["max_mean_change"] > sweeps[-1]["max_mean_change"] >= 0.0
+        for run in written["runs"]:
+            assert run["rejected_updates"] == sum(s["rejected"] for s in run["sweeps"])
+            assert run["scheme_failures"] == sum(s["scheme_failed"] for s in run["sweeps"])
 
     def test_reference_computation_can_be_disabled(self, small_csv, tmp_path):
         config = RunConfig(

@@ -182,6 +182,18 @@ BAD_RUN_SETTINGS = [
      "streaming mode is a single pass"),
     ("string-gamma", [], {"gamma": "x"}, "not supported between"),
     ("schemes-not-a-list", [], {"schemes": "la"}, "'schemes' must be a list of names"),
+    ("float-sweeps", [], {"sweeps": 1.5}, "'sweeps' must be an integer or null, not 1.5"),
+    ("bool-sweeps", [], {"sweeps": True}, "'sweeps' must be an integer or null, not True"),
+    ("float-batch-size", [], {"batch_size": 2.5}, "'batch_size' must be an integer, not 2.5"),
+    ("string-batch-size", [], {"batch_size": "10"},
+     "'batch_size' must be an integer, not '10'"),
+    ("float-cost-every", [], {"cost_every": 2.5}, "'cost_every' must be an integer, not 2.5"),
+    ("float-timing-repetitions", [], {"timing_repetitions": 1.5},
+     "'timing_repetitions' must be an integer, not 1.5"),
+    ("string-references", [], {"references": "no"},
+     "'references' must be true or false, not 'no'"),
+    ("integer-references", [], {"references": 0},
+     "'references' must be true or false, not 0"),
 ]
 
 

@@ -99,27 +99,38 @@ class TestEpConfig:
             config(cost_every=0)
 
 
+def assert_bit_equal(a: DiagGaussian, b: DiagGaussian):
+    assert a.log_scale == b.log_scale
+    np.testing.assert_array_equal(a.linear, b.linear)
+    np.testing.assert_array_equal(a.neg_half_precision, b.neg_half_precision)
+
+
 class TestGateUpdate:
     def test_accepts_proper_candidate(self):
         cavity = DiagGaussian.from_mean_var([0.0], [1.0])
-        assert gate_update(cavity, DiagGaussian.unit(1))
+        assert gate_update(cavity, DiagGaussian(0.0, np.zeros(1), np.zeros(1))) is not None
 
     def test_accepts_improper_candidate_when_posterior_stays_proper(self):
         # candidate precision -0.4 against cavity precision 1.0 leaves +0.6
         cavity = DiagGaussian.from_mean_var([0.0], [1.0])
         candidate = DiagGaussian(0.0, np.array([0.3]), np.array([0.2]))
-        assert gate_update(cavity, candidate)
+        assert gate_update(cavity, candidate) is not None
+
+    def test_accepted_posterior_is_the_product(self):
+        cavity = DiagGaussian.from_mean_var([0.3, -1.2], [0.7, 2.5], log_mass=0.4)
+        candidate = DiagGaussian(-0.8, np.array([0.3, 1.1]), np.array([0.2, -0.9]))
+        assert_bit_equal(gate_update(cavity, candidate), multiply(cavity, candidate))
 
     def test_rejects_candidate_that_flips_posterior_sign(self):
         # candidate precision -2.0 overwhelms cavity precision 1.0
         cavity = DiagGaussian.from_mean_var([0.0], [1.0])
         candidate = DiagGaussian(0.0, np.array([0.0]), np.array([1.0]))
-        assert not gate_update(cavity, candidate)
+        assert gate_update(cavity, candidate) is None
 
     def test_rejects_non_finite_candidate(self):
         cavity = DiagGaussian.from_mean_var([0.0], [1.0])
         candidate = DiagGaussian(0.0, np.array([np.inf]), np.array([-0.1]))
-        assert not gate_update(cavity, candidate)
+        assert gate_update(cavity, candidate) is None
 
 
 class TestConjugateFixedPoint:
@@ -258,7 +269,7 @@ class TestEngineMechanics:
             DiagGaussian(0.0, np.array([0.0]), np.array([0.6])))
         cfg = config("qla", prior=PriorFactor(variance=1.0), n_sweeps=2)
         state, trace = ep_run_factors([improper], 1, cfg)
-        assert state.rejected_updates == 2
+        assert [s.rejected for s in trace.sweeps] == [1, 1]
         assert all(r.update_status == "rejected" for r in trace.records)
         assert state.global_approx.precision[0] == pytest.approx(1.0)
         assert state.messages[0].log_scale == 0.0
@@ -267,7 +278,7 @@ class TestEngineMechanics:
         cfg = config("vq", prior=PriorFactor(variance=1.0), n_sweeps=2)
         state, trace = ep_run_factors([FailingFactor()], 1, cfg)
         assert all(r.update_status == "scheme_failed" for r in trace.records)
-        assert state.rejected_updates == 0
+        assert [s.rejected for s in trace.sweeps] == [0, 0]
         assert state.global_approx.precision[0] == pytest.approx(1.0)
 
     def test_cost_column_is_thinned_but_final_visit_always_costed(self):
@@ -333,7 +344,7 @@ class TestMessageStore:
         factors = [gaussian_factor([0.5], [1.0])]
         state, _ = ep_run_factors(factors, 1, config("la", n_sweeps=1))
         snapshot = state.messages
-        state.store(0, DiagGaussian.unit(1))
+        state.store(0, DiagGaussian(0.0, np.zeros(1), np.zeros(1)))
         assert snapshot[0].neg_half_precision[0] == pytest.approx(-0.5)
 
 

@@ -51,7 +51,7 @@ class TestConstruction:
         np.testing.assert_allclose(g.precision, [2.0, 0.25], rtol=1e-14)
 
     def test_unit_message_is_all_zero(self):
-        u = DiagGaussian.unit(3)
+        u = DiagGaussian(0.0, np.zeros(3), np.zeros(3))
         assert u.log_scale == 0.0
         assert np.all(u.linear == 0.0) and np.all(u.neg_half_precision == 0.0)
         assert not u.is_proper
@@ -74,7 +74,7 @@ class TestConstruction:
 class TestMultiplyDivide:
     def test_unit_is_identity(self):
         g = standard_normal(2)
-        out = multiply(DiagGaussian.unit(2), g)
+        out = multiply(DiagGaussian(0.0, np.zeros(2), np.zeros(2)), g)
         assert out.log_scale == g.log_scale
         np.testing.assert_array_equal(out.linear, g.linear)
         np.testing.assert_array_equal(out.neg_half_precision, g.neg_half_precision)
@@ -187,7 +187,7 @@ class TestMomentConversions:
 
 class TestEvalLog:
     def test_unit_message_is_zero_everywhere(self):
-        u = DiagGaussian.unit(2)
+        u = DiagGaussian(0.0, np.zeros(2), np.zeros(2))
         rng = np.random.default_rng(0)
         for _ in range(10):
             assert eval_log(u, rng.normal(size=2)) == 0.0

