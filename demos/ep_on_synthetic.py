@@ -3,8 +3,9 @@
 306 examples, three standardized features plus a baseline column, mini
 batches of ten, a N(0, 25 I) prior, and five sweeps: every scheme visits
 every mini-batch factor, refits its message in the current cavity, and the
-product of messages is the running posterior.  Offline solvers (Newton for
-logistic, a derivative-free direction-set search for the kinked losses)
+product of messages is the running posterior.  The offline references are
+the ones ``ffep run`` writes to its manifest: Newton for logistic, the exact
+dual box QP for hinge and a direction-set search for quasi 0-1.  They
 provide the reference training cost each trajectory is judged against.
 
 The table reports, per loss and scheme, the final training cost, its gap
@@ -22,7 +23,7 @@ divided out.
 
 import numpy as np
 
-from ffep.bench import reference_newton_logistic, reference_powell, total_cost
+from ffep.bench import _compute_references
 from ffep.engine import EpConfig, ep_run
 from ffep.factors import PriorFactor
 from ffep.ingest import ColumnSchema, bundled_synthetic_path, load_csv, preprocess
@@ -40,14 +41,11 @@ def main():
     n, d = dataset.features.shape
     print(f"dataset: {n} examples, {d} columns (features + baseline)\n")
 
-    theta_log = reference_newton_logistic(dataset, PRIOR)
-    references = {"logistic": total_cost(theta_log, dataset, logistic())}
-    for loss in (hinge(), quasi01(0.1)):
-        res = reference_powell(dataset, loss, theta_log, PRIOR)
-        references[loss.name] = total_cost(res.theta, dataset, loss)
+    losses = (logistic(), hinge(), quasi01(0.1))
+    references = _compute_references(dataset, losses, PRIOR)
 
-    for loss in (logistic(), hinge(), quasi01(0.1)):
-        ref = references[loss.name]
+    for loss in losses:
+        ref = references[loss.name]["cost"]
         print(f"{loss.name} (reference cost {ref:.4f}):")
         print(f"  {'scheme':<6} {'final':>10} {'gap':>9} {'last-sweep rng':>14} "
               f"{'rej':>4} {'fail':>4} {'ms/batch':>8}")

@@ -3,11 +3,13 @@
 The reference minimizers target the same objective EP carries implicitly:
 total classification cost plus the zero-mean Gaussian prior's quadratic
 term theta^T theta / (2 * variance).  Logistic cost is minimized by
-Newton's method; the piecewise-linear hinge and quasi 0-1 costs by Powell's
-direction set, whose line searches are exact because the objective along a
-line is piecewise quadratic.  Trace files instead report the
-classification cost alone, which is how training curves are usually drawn;
-manifests record both numbers so the two views can always be reconciled.
+Newton's method.  Hinge cost is minimized exactly through its dual, the box
+QP ``la`` solves per hinge batch, and the duality gap certifies the answer.
+The nonconvex quasi 0-1 cost is minimized by Powell's direction set, whose
+line searches are exact because the objective along a line is piecewise
+quadratic.  Trace files instead report the classification cost alone,
+which is how training curves are usually drawn; manifests record both
+numbers so the two views can always be reconciled.
 
 Outputs of run_experiment, all under the configured directory:
 
@@ -33,7 +35,7 @@ from .engine import EpConfig, EpTrace, classification_costs, ep_run
 from .factors import PriorFactor
 from .ingest import ColumnSchema, Dataset, load_csv, preprocess
 from .losses import LossKind, loss_derivatives, loss_kinks
-from .schemes import SchemeKind
+from .schemes import SchemeKind, _box_qp
 
 __all__ = [
     "RunConfig",
@@ -52,6 +54,7 @@ _NEWTON_GRAD_TOL = 1e-8
 _NEWTON_MAX_ITER = 200
 _POWELL_REL_TOL = 1e-8
 _POWELL_BUDGET_PER_DIM = 100
+_HINGE_GAP_RTOL = 1e-12
 
 
 def total_cost(theta, dataset: Dataset, loss: LossKind,
@@ -146,8 +149,10 @@ def reference_powell(dataset: Dataset, loss: LossKind, theta_init,
                      prior: PriorFactor | None = None) -> PowellResult:
     """Powell direction-set minimization of total cost plus the prior term.
 
-    Serves the piecewise-linear losses, hinge and quasi 0-1, and raises
-    ValueError on the smooth logistic one.  Each line is minimized exactly
+    Serves any piecewise-linear loss, hinge and quasi 0-1, and raises
+    ValueError on the smooth logistic one; the references take it for
+    quasi 0-1, whose cost is nonconvex, and solve hinge exactly instead
+    (``_compute_references``).  Each line is minimized exactly
     (its global minimum, also on the nonconvex quasi 0-1 loss); by
     convention ``theta_init`` is the logistic Newton solution.  Stops when a
     full cycle changes the cost by less than 1e-8 relative, or after 100*d
@@ -290,12 +295,33 @@ def _write_timing(path, rows: list[TimingRow]):
 
 
 def _compute_references(dataset: Dataset, losses, prior: PriorFactor):
-    """Offline minimizers per loss: Newton for logistic, Powell from it otherwise."""
+    """Offline minimizers per loss, each started from the logistic Newton solution.
+
+    Logistic is Newton's own answer and quasi 0-1 is Powell's.  Hinge is
+    solved exactly through its dual, the linear SVM's: with Z the rows
+    y_k x_k and v the prior variance, alpha* minimizes
+    1/2 alpha.(v Z Z^T).alpha - sum alpha over [0, 1]^N (``_box_qp``, the
+    QP ``la`` solves per hinge batch with the prior as cavity and beta = 1),
+    started at the rows whose logistic margin is below 1, and
+    theta* = v Z^T alpha*.  Its ``duality_gap`` is the relative gap
+    (P(theta*) - D(alpha*)) / P(theta*), P being hinge cost plus the prior
+    term and D(alpha) = sum alpha - |v Z^T alpha|^2 / (2 v), and it counts as
+    converged at a gap of at most 1e-12.  The other losses carry no gap.
+    """
     refs = {}
     theta_log = reference_newton_logistic(dataset, prior)
     for loss in losses:
+        gap = None
         if loss.name == "logistic":
             theta, converged = theta_log, True
+        elif loss.name == "hinge":
+            Z = dataset.labels[:, None] * dataset.features
+            var = prior.variance
+            alpha = _box_qp(var * Z, Z, np.ones(dataset.n_examples), 1.0, Z @ theta_log < 1.0)
+            theta = var * (alpha @ Z)
+            primal = total_cost(theta, dataset, loss, prior)
+            gap = (primal - float(alpha.sum() - 0.5 * (theta @ theta) / var)) / primal
+            converged = gap <= _HINGE_GAP_RTOL
         else:
             result = reference_powell(dataset, loss, theta_log, prior)
             theta, converged = result.theta, result.converged
@@ -304,6 +330,7 @@ def _compute_references(dataset: Dataset, losses, prior: PriorFactor):
             "cost": total_cost(theta, dataset, loss),
             "cost_with_prior": total_cost(theta, dataset, loss, prior),
             "converged": converged,
+            "duality_gap": gap,
         }
     return refs
 

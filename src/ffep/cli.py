@@ -38,6 +38,8 @@ __all__ = ["main"]
 _USAGE_ERROR = 1
 _DATA_ERROR = 2
 _RUNS_FAILED = 3
+# a real-valued setting: JSON's integers and floats, but not its true/false
+_REAL = (int, float)
 
 _DEFAULTS = {
     "losses": ["logistic", "hinge", "quasi01"],
@@ -175,9 +177,10 @@ def _typed(s: dict, key: str, kind, what: str):
 def _losses_and_prior(s: dict):
     """The settings' losses and prior; a bad value is a usage error."""
     try:
-        losses = tuple(loss_from_name(n, epsilon=s["epsilon"]) for n in _names(s, "losses"))
-        return losses, PriorFactor(variance=float(s["prior_variance"]))
-    except (TypeError, ValueError) as exc:
+        epsilon = float(_typed(s, "epsilon", _REAL, "a number"))
+        losses = tuple(loss_from_name(n, epsilon=epsilon) for n in _names(s, "losses"))
+        return losses, PriorFactor(variance=float(_typed(s, "prior_variance", _REAL, "a number")))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _UsageError(str(exc)) from exc
 
 
@@ -187,9 +190,10 @@ def _build_run_config(args) -> RunConfig:
     s = _merged_settings(args, cfg)
     losses, prior = _losses_and_prior(s)
     try:
+        newton_tol = float(_typed(s, "newton_tol", _REAL, "a number"))
+        gamma = _typed(s, "gamma", _REAL + (type(None),), "a number or null")
         schemes = tuple(
-            SchemeKind(n, newton_tol=s["newton_tol"], gamma=s["gamma"])
-            for n in _names(s, "schemes")
+            SchemeKind(n, newton_tol=newton_tol, gamma=gamma) for n in _names(s, "schemes")
         )
         return RunConfig(
             dataset_path=path,
@@ -201,13 +205,13 @@ def _build_run_config(args) -> RunConfig:
             batch_size=_typed(s, "batch_size", int, "an integer"),
             n_sweeps=_typed(s, "sweeps", (int, type(None)), "an integer or null"),
             mode=s["mode"],
-            beta=float(s["beta"]),
+            beta=float(_typed(s, "beta", _REAL, "a number")),
             prior=prior,
             cost_every=_typed(s, "cost_every", int, "an integer"),
             timing_repetitions=_typed(s, "timing_repetitions", int, "an integer"),
             with_references=_typed(s, "references", bool, "true or false"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _UsageError(str(exc)) from exc
 
 
@@ -241,7 +245,9 @@ def _cmd_reference(args) -> int:
     dataset = preprocess(load_csv(path, schema), name=name)
     refs = _compute_references(dataset, losses, prior)
     for loss_name, ref in refs.items():
-        print(f"{loss_name:>8s}  cost={ref['cost']:.6f}  converged={ref['converged']}")
+        gap = "n/a" if ref["duality_gap"] is None else f"{ref['duality_gap']:.2e}"
+        print(f"{loss_name:>8s}  cost={ref['cost']:.6f}  converged={ref['converged']}  "
+              f"duality_gap={gap}")
     out = Path(s["out"])
     out.mkdir(parents=True, exist_ok=True)
     target = out / "references.json"

@@ -75,10 +75,12 @@ _MARGIN_BLOCK = 2**18
 class EpConfig:
     """Everything one EP run needs besides the data itself.
 
-    ``n_sweeps=None`` resolves to 5 in looping mode and 1 in streaming mode;
-    streaming only ever makes one pass, so any other explicit value is a
-    usage error.  ``cost_every`` thins the trace's full-dataset cost
-    evaluations for large runs (1 = every visit; large runs typically use 10).
+    The counts ``batch_size``, ``n_sweeps`` and ``cost_every`` are integers
+    (a bool is not one).  ``n_sweeps=None`` resolves to 5 in looping mode and
+    1 in streaming mode; streaming only ever makes one pass, so any other
+    explicit value is a usage error.  ``cost_every`` thins the trace's
+    full-dataset cost evaluations for large runs (1 = every visit; large
+    runs typically use 10).
     """
 
     scheme: SchemeKind
@@ -95,6 +97,12 @@ class EpConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not self.beta > 0:
             raise ValueError("beta must be positive")
+        for name in ("batch_size", "n_sweeps", "cost_every"):
+            value = getattr(self, name)
+            if value is None and name == "n_sweeps":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.n_sweeps is not None and self.n_sweeps < 1:

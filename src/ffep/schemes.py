@@ -209,20 +209,25 @@ def _newton_mode(cavity: DiagGaussian, factor, scheme: SchemeKind) -> np.ndarray
     raise SchemeFailure("Laplace maximization did not converge")
 
 
-def _box_qp(Q: np.ndarray, b: np.ndarray, hi: float) -> np.ndarray:
-    """argmin of 1/2 a.Q.a - a.b over the box [0, hi]^s, Q positive semidefinite.
+def _box_qp(Zw: np.ndarray, Z: np.ndarray, b: np.ndarray, hi: float,
+            start: np.ndarray) -> np.ndarray:
+    """argmin of 1/2 a.Q.a - a.b over the box [0, hi]^s, with Q = Zw Z^T PSD.
 
-    A primal-feasible active-set method, started at the vertex hi*[b > 0]:
-    for the hinge dual, every row whose margin at the cavity mean is below 1
-    at full weight, as qla's one-sided slope has it.  Each row is free, at 0
-    or at hi.  A step is the Newton step -Q_FF^-1 g_F on the face that fixes
-    the bound rows, g = Q a - b being the gradient; it stops at the first
-    bound it meets, and that row leaves the free set.  After a full step the
-    free rows are optimal by construction, so only the bound rows'
-    multipliers are checked: the most wrong-signed one is freed, and when
-    none is, a is the minimum.  Freeing row j takes one solve,
-    Q_FF w = Q_Fj, which gives both the test below and the Newton step on
-    the enlarged face: with g_F = 0 it runs along (-w, 1).
+    Q is never formed: Q a is Zw (Z^T a), a block Q[r, c] is Zw[r] Z[c]^T,
+    and the KKT check's scale |Q| a is bounded above by |Zw| (|Z|^T a), so
+    an s-row problem in d dimensions keeps O(s d) memory.
+
+    A primal-feasible active-set method, started at the vertex hi*start.
+    Each row is free, at 0 or at hi.  A step is the Newton step
+    -Q_FF^-1 g_F on the face that fixes the bound rows, g = Q a - b being
+    the gradient; it stops at the first bound it meets, and that row leaves
+    the free set.  After a full step the free rows are optimal by
+    construction, so only the bound rows' multipliers are checked: the most
+    wrong-signed one is freed, and when none is, a is the minimum.  Freeing
+    row j takes one solve, Q_FF w = Q_Fj, which gives both the test below
+    and the Newton step on the enlarged face: with g_F = 0 it runs along
+    (-w, 1).  A step moves only the free rows and row j, so the ratio test
+    reads only those.
 
     Q may be singular (more rows than dimensions, repeated or zero rows), so
     the free set is kept to rows with independent Q columns.  A freed row
@@ -235,55 +240,60 @@ def _box_qp(Q: np.ndarray, b: np.ndarray, hi: float) -> np.ndarray:
     no cancellation error.
     """
     s = b.size
-    a = np.where(b > 0.0, hi, 0.0)
-    free = np.zeros(s, dtype=bool)
-    abs_q, abs_b = np.abs(Q), np.abs(b)
+    a = np.where(start, hi, 0.0)
+    # each row's state: +1 at hi, -1 at 0, 0 when free.  It is also the sign
+    # of the gradient entries that make a bound row's multiplier wrong.
+    side = np.where(start, 1.0, -1.0)
+    tol_zw, abs_z, tol_b = _QP_KKT_RTOL * np.abs(Zw), np.abs(Z), _QP_KKT_RTOL * np.abs(b)
     at_face_min = True  # no row is free: a vertex is its own face's minimum
     for _ in range(_QP_ITER_PER_ROW * (s + 1)):
-        rows = np.flatnonzero(free)
-        g = Q @ a - b
-        step = np.zeros(s)
+        rows = (side == 0.0).nonzero()[0]
+        zw_f, z_f = Zw.take(rows, axis=0), Z.take(rows, axis=0)
+        u = a @ Z
         if at_face_min:
-            excess = np.where(free, 0.0, np.where(a > 0.0, g, -g))
-            excess -= _QP_KKT_RTOL * (abs_q @ a + abs_b)
-            if not np.any(excess > 0.0):
+            g = Zw @ u - b
+            excess = side * g - (tol_zw @ (a @ abs_z) + tol_b)
+            j = excess.argmax()
+            if not excess[j] > 0.0:
                 if rows.size:  # re-solve the face once, free of the path's rounding
-                    bound = np.flatnonzero(~free)
-                    rhs = b[rows] - Q[rows[:, None], bound] @ a[bound]
-                    a[rows] = np.clip(np.linalg.solve(Q[rows[:, None], rows], rhs), 0.0, hi)
+                    rhs = b[rows] - zw_f @ (np.where(side > 0.0, hi, 0.0) @ Z)
+                    a[rows] = np.minimum(np.maximum(np.linalg.solve(zw_f @ z_f.T, rhs), 0.0), hi)
                 return a
-            j = int(np.argmax(excess))
-            q = w = Q[rows, j]
+            q = w = zw_f @ Z[j]
             if rows.size:
-                w = np.linalg.solve(Q[rows[:, None], rows], q)
-            free[j] = True
-            step[rows], step[j] = -w, 1.0
-            schur = Q[j, j] - q @ w
-            if schur > _QP_DEPENDENT * Q[j, j]:
+                w = np.linalg.solve(zw_f @ z_f.T, q)
+            side[j] = 0.0
+            moving = np.concatenate((rows, [j]))
+            step = np.concatenate((-w, [1.0]))
+            q_jj = Zw[j] @ Z[j]
+            schur = q_jj - q @ w
+            if schur > _QP_DEPENDENT * q_jj:
                 step *= -g[j] / schur  # the Newton step of the bordered system
                 full = 1.0
             else:  # the null direction, oriented to move row j off its bound
-                step *= 1.0 if a[j] == 0.0 else -1.0
+                if a[j] != 0.0:
+                    step = -step
                 full = np.inf
         else:
-            step[rows] = -np.linalg.solve(Q[rows[:, None], rows], g[rows])
+            moving = rows
+            step = np.linalg.solve(zw_f @ z_f.T, b.take(rows) - zw_f @ u)
             full = 1.0
-        # how far each row can go before it meets the bound it heads for
-        room = np.divide(np.where(step > 0.0, hi, 0.0) - a, step,
-                         out=np.full(s, np.inf), where=step != 0.0)
-        k = int(np.argmin(room))
+        # how far each moving row can go before it meets the bound it heads for
+        a_m, up = a.take(moving), step > 0.0
+        room = np.full(step.size, np.inf)
+        np.divide(np.where(up, hi - a_m, a_m), np.abs(step), out=room, where=step != 0.0)
+        k = room.argmin()
         if room[k] >= full:
-            a += step
-            np.clip(a, 0.0, hi, out=a)
+            a[moving] = np.minimum(np.maximum(a_m + step, 0.0), hi)
             at_face_min = True
             continue
-        a += room[k] * step
-        np.clip(a, 0.0, hi, out=a)
-        a[k] = hi if step[k] > 0.0 else 0.0
-        free[k] = False
+        a_m = np.minimum(np.maximum(a_m + room[k] * step, 0.0), hi)
+        a_m[k] = hi if up[k] else 0.0
+        a[moving] = a_m
+        side[moving[k]] = 1.0 if up[k] else -1.0
         # a null step that carried the freed row to its other bound left the
         # free rows, the mode and so every multiplier as they were
-        at_face_min = (full == np.inf and k == j) or not free.any()
+        at_face_min = (full == np.inf and moving[k] == j) or moving.size == 1
     raise SchemeFailure("hinge tilted-mode QP did not converge")
 
 
@@ -292,17 +302,19 @@ def _hinge_mode(cavity: DiagGaussian, Z: np.ndarray, beta: float):
 
     This is the linear-SVM primal with the cavity as regularizer (Hsieh et
     al., ICML 2008, solve the same dual).  With L the cavity precision its
-    dual is the box QP of _box_qp with Q = Z L^-1 Z^T, b = 1 - Z mu and
-    hi = beta; the mode is theta* = mu + L^-1 Z^T a*, unique even where a*
-    is not, and Z^T a* = L (theta* - mu) is the slope at which
-    cavity*message peaks at theta*.
+    dual is the box QP of _box_qp with Q = (Z L^-1) Z^T, passed in factored
+    form, b = 1 - Z mu and hi = beta, started at beta*[b > 0]: every row
+    whose margin at the cavity mean is below 1 at full weight, as qla's
+    one-sided slope has it.  The mode is theta* = mu + L^-1 Z^T a*, unique
+    even where a* is not, and Z^T a* = L (theta* - mu) is the slope at
+    which cavity*message peaks at theta*.
     """
     lam, mu = cavity.precision, cavity.mean
-    Q = (Z / lam) @ Z.T
+    Zw = Z / lam
     b = 1.0 - Z @ mu
-    if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(Zw).all() and np.isfinite(b).all()):
         raise SchemeFailure("non-finite hinge QP")
-    slope = Z.T @ _box_qp(Q, b, beta)
+    slope = _box_qp(Zw, Z, b, beta, b > 0.0) @ Z
     return mu + slope / lam, slope
 
 

@@ -48,6 +48,9 @@ SYNTH_NEWTON_THETA = np.array(
 SYNTH_LOGISTIC_COST = 153.8396007474309
 SYNTH_HINGE_COST = 154.29731977318255
 SYNTH_HINGE_COST_WITH_PRIOR = 155.81329671328663
+# The exact hinge optimum's classification cost, from the dual box QP; the
+# Powell value above stops 2.15e-5 relative above its objective.
+SYNTH_HINGE_EXACT_COST = 154.29177718833
 SYNTH_QUASI01_COST = 74.08285810797496
 
 PRIOR = PriorFactor(variance=25.0)
@@ -207,6 +210,57 @@ class TestPowellReference:
         res = scipy.optimize.minimize(objective, theta_log, method="Powell",
                                       options={"xtol": 1e-8, "ftol": 1e-10})
         assert ours.cost == pytest.approx(res.fun, rel=0.03)
+
+
+def stream_shaped_table(n=3000, d=20, seed=17):
+    """n noisy examples in d coordinates, a baseline column included.
+
+    Features are standard normals, labels follow a logistic link on a random
+    direction and a tenth of them are flipped, so the hinge optimum has
+    hundreds of rows on or inside the margin.
+    """
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.standard_normal((n, d - 1)), np.ones(n)])
+    w = rng.standard_normal(d)
+    w *= 1.5 / np.linalg.norm(w)
+    y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-X @ w)), 1.0, -1.0)
+    y[rng.random(n) < 0.1] *= -1.0
+    return Dataset(features=X, labels=y)
+
+
+class TestHingeReference:
+    """The hinge reference is the exact optimum, solved as the dual box QP."""
+
+    @pytest.fixture(scope="class")
+    def stream_table(self):
+        return stream_shaped_table()
+
+    def test_frozen_synthetic_exact_hinge_solution(self, synthetic_dataset):
+        ref = bench._compute_references(synthetic_dataset, (hinge(),), PRIOR)["hinge"]
+        assert ref["cost"] == pytest.approx(SYNTH_HINGE_EXACT_COST, rel=1e-9)
+        assert ref["converged"]
+
+    @pytest.mark.parametrize("table", ["synthetic306", "stream_table"])
+    def test_duality_gap_certifies_it_and_powell_is_never_below(self, table, request):
+        ds = request.getfixturevalue("synthetic_dataset" if table == "synthetic306" else table)
+        refs = bench._compute_references(ds, (logistic(), hinge()), PRIOR)
+        ref = refs["hinge"]
+        assert abs(ref["duality_gap"]) <= 1e-12
+        assert ref["converged"]
+        assert refs["logistic"]["duality_gap"] is None
+        theta_log = np.array(refs["logistic"]["theta"])
+        powell = reference_powell(ds, hinge(), theta_log, PRIOR)
+        assert ref["cost_with_prior"] <= powell.cost
+        assert ref["cost_with_prior"] == pytest.approx(
+            total_cost(ref["theta"], ds, hinge(), PRIOR), rel=1e-15)
+
+    def test_matches_the_separable_kink(self):
+        # as in TestPowellReference: the optimum puts both margins on the kink
+        ds = Dataset(features=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                     labels=np.array([1.0, -1.0]))
+        ref = bench._compute_references(ds, (hinge(),), PRIOR)["hinge"]
+        np.testing.assert_allclose(ref["theta"], [1.0, 0.0], rtol=0.0, atol=1e-15)
+        assert ref["cost_with_prior"] == pytest.approx(1.0 / 25.0 / 2.0, rel=1e-15)
 
 
 def kinked_line(loss, reach):

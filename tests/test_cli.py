@@ -76,6 +76,15 @@ class TestRunCommand:
         assert code == 0
         assert (out / "synthetic306_logistic_qla.trace.csv").exists()
 
+    def test_integer_real_settings_are_read_as_numbers(self, tmp_path, small_csv):
+        cfg = write_config(tmp_path, small_csv, beta=2, prior_variance=4, epsilon=1,
+                           newton_tol=1, gamma=3, losses=["quasi01"], schemes=["la", "vq"])
+        assert main(["run", "--config", str(cfg)]) == 0
+        manifest = json.loads((tmp_path / "results" / "manifest.json").read_text())
+        assert manifest["protocol"]["beta"] == 2.0
+        assert manifest["protocol"]["prior_variance"] == 4.0
+        assert manifest["failures"] == []
+
     def test_unknown_flag_exits_with_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--bogus"])
@@ -111,7 +120,7 @@ class TestRunCommand:
         assert "FAILED" in capsys.readouterr().err
 
     def test_run_never_imports_scipy(self, tmp_path):
-        # every loss and scheme, so the Newton and the Powell references both run
+        # every loss and scheme, so the Newton, box-QP and Powell references all run
         out = tmp_path / "results"
         script = (
             "import sys\n"
@@ -145,7 +154,15 @@ class TestReferenceCommand:
         assert logistic_ref["converged"]
         assert np.isfinite(logistic_ref["cost"])
         assert len(logistic_ref["theta"]) == 4  # three features plus baseline
-        assert "cost=" in capsys.readouterr().out
+        assert logistic_ref["duality_gap"] is None
+        hinge_ref = data["references"]["hinge"]
+        assert hinge_ref["converged"]
+        assert abs(hinge_ref["duality_gap"]) <= 1e-12
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[-1] == "duality_gap=n/a"
+        assert lines[1].split()[0] == "hinge"
+        assert float(lines[1].split("duality_gap=")[1]) == pytest.approx(
+            hinge_ref["duality_gap"], rel=1e-2, abs=0.0)
 
     def test_accepts_the_bundled_dataset_token(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -169,7 +186,17 @@ BAD_SETTINGS = [
     ("unknown-loss", ["--loss", "foo"], {}, "unknown loss 'foo'"),
     ("zero-epsilon", [], {"losses": ["quasi01"], "epsilon": 0}, "epsilon must be positive"),
     ("negative-prior-variance", [], {"prior_variance": -1}, "prior variance must be positive"),
-    ("null-prior-variance", [], {"prior_variance": None}, "NoneType"),
+    ("null-prior-variance", [], {"prior_variance": None},
+     "'prior_variance' must be a number, not None"),
+    ("string-prior-variance", [], {"prior_variance": "4"},
+     "'prior_variance' must be a number, not '4'"),
+    ("bool-prior-variance", [], {"prior_variance": True},
+     "'prior_variance' must be a number, not True"),
+    ("huge-prior-variance", [], {"prior_variance": 10**400}, "too large to convert to float"),
+    ("string-epsilon", [], {"losses": ["quasi01"], "epsilon": "0.1"},
+     "'epsilon' must be a number, not '0.1'"),
+    ("bool-epsilon", [], {"losses": ["quasi01"], "epsilon": True},
+     "'epsilon' must be a number, not True"),
     ("losses-not-a-list", [], {"losses": "hinge"}, "'losses' must be a list of names"),
 ]
 # settings only ``ffep run`` reads: the schemes and the EP protocol
@@ -180,7 +207,15 @@ BAD_RUN_SETTINGS = [
     ("zero-cost-every", [], {"cost_every": 0}, "cost_every must be at least 1"),
     ("streaming-sweeps", ["--mode", "streaming", "--sweeps", "3"], {},
      "streaming mode is a single pass"),
-    ("string-gamma", [], {"gamma": "x"}, "not supported between"),
+    ("string-gamma", [], {"gamma": "x"}, "'gamma' must be a number or null, not 'x'"),
+    ("bool-gamma", [], {"gamma": True}, "'gamma' must be a number or null, not True"),
+    ("bool-beta", [], {"beta": True}, "'beta' must be a number, not True"),
+    ("string-beta", [], {"beta": "2"}, "'beta' must be a number, not '2'"),
+    ("null-beta", [], {"beta": None}, "'beta' must be a number, not None"),
+    ("huge-beta", [], {"beta": 10**400}, "too large to convert to float"),
+    ("string-newton-tol", [], {"newton_tol": "1e-5"},
+     "'newton_tol' must be a number, not '1e-5'"),
+    ("bool-newton-tol", [], {"newton_tol": False}, "'newton_tol' must be a number, not False"),
     ("schemes-not-a-list", [], {"schemes": "la"}, "'schemes' must be a list of names"),
     ("float-sweeps", [], {"sweeps": 1.5}, "'sweeps' must be an integer or null, not 1.5"),
     ("bool-sweeps", [], {"sweeps": True}, "'sweeps' must be an integer or null, not True"),

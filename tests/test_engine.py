@@ -7,6 +7,8 @@ of the factors and further sweeps must not move it.
 
 from dataclasses import replace
 
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,19 @@ class TestEpConfig:
             config(n_sweeps=0)
         with pytest.raises(ValueError, match="cost_every"):
             config(cost_every=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_sweeps", 1.5), ("n_sweeps", 2.0), ("n_sweeps", True), ("n_sweeps", "3"),
+        ("batch_size", 2.5), ("batch_size", True), ("batch_size", "10"),
+        ("cost_every", 1.0), ("cost_every", False),
+    ])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, not {value!r}")):
+            config(**{name: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        cfg = config(batch_size=np.int64(5), n_sweeps=np.int32(2), cost_every=np.int64(3))
+        assert cfg.resolved_sweeps == 2
 
 
 def assert_bit_equal(a: DiagGaussian, b: DiagGaussian):

@@ -485,7 +485,7 @@ class TestHingeMode:
             cavity = random_cavity(rng, d, log_var_range=(-1.5, 3.2), mean_scale=5.0)
             Z, lam, mu = factor.Z, cavity.precision, cavity.mean
             Q, b = (Z / lam) @ Z.T, 1.0 - Z @ mu
-            alpha = schemes._box_qp(Q, b, beta)
+            alpha = schemes._box_qp(Z / lam, Z, b, beta, b > 0.0)
             sizes.append(len(b))
 
             assert_box_qp_kkt(Q, b, alpha, beta)
@@ -512,7 +512,7 @@ class TestHingeMode:
             lam, mu = cavity.precision, cavity.mean
             Q, b = (Z / lam) @ Z.T, 1.0 - Z @ mu
             assert np.linalg.matrix_rank(Q) == 10
-            assert_box_qp_kkt(Q, b, schemes._box_qp(Q, b, beta), beta)
+            assert_box_qp_kkt(Q, b, schemes._box_qp(Z / lam, Z, b, beta, b > 0.0), beta)
 
     @pytest.mark.parametrize("beta", [0.01, 1.0, 50.0, 1000.0])
     def test_optimal_start_vertex_comes_back_unchanged(self, beta):
@@ -534,7 +534,8 @@ class TestHingeMode:
                                1.0 + rng.uniform(1.0, 10.0, size=s))
             mu = np.linalg.lstsq(Z, margins, rcond=None)[0]
             b = 1.0 - Z @ mu
-            np.testing.assert_array_equal(schemes._box_qp(Q, b, beta), np.where(below, beta, 0.0))
+            np.testing.assert_array_equal(schemes._box_qp(Z / lam, Z, b, beta, b > 0.0),
+                                          np.where(below, beta, 0.0))
 
     def test_matches_the_enumeration_oracle(self):
         """About 200 small problems against every face of the box, with singular
@@ -557,7 +558,7 @@ class TestHingeMode:
             Q, b = (Z / lam) @ Z.T, 1.0 - Z @ mu
             singular += np.linalg.matrix_rank(Q) < s
 
-            alpha = schemes._box_qp(Q, b, beta)
+            alpha = schemes._box_qp(Z / lam, Z, b, beta, b > 0.0)
             oracle = box_qp_by_enumeration(Q, b, beta)
             values = [0.5 * a @ Q @ a - a @ b for a in (alpha, oracle)]
             scale = max(0.5 * a @ np.abs(Q) @ a + a @ np.abs(b) for a in (alpha, oracle))
