@@ -5,9 +5,8 @@ down the engine's bookkeeping exactly: one sweep must land on the product
 of the factors and further sweeps must not move it.
 """
 
-from dataclasses import replace
-
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,7 +105,8 @@ class TestEpConfig:
         ("cost_every", 1.0), ("cost_every", False),
     ])
     def test_counts_must_be_integers(self, name, value):
-        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, not {value!r}")):
+        message = f"{name} must be an integer, not {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             config(**{name: value})
 
     def test_numpy_integer_counts_are_accepted(self):
