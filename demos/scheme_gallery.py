@@ -5,10 +5,12 @@ side of the kink and linear on the other, a shape none of the schemes can
 represent exactly.  Each scheme turns the cavity-weighted factor into a
 Gaussian message by a different route:
 
-  la   damped diagonal Newton to the tilted mode, Taylor fit there
+  la   the tilted mode, solved exactly as a box QP on a hinge factor,
+       with the mode-consistent slope there
   qla  Taylor fit at the cavity mean, no inner optimization
   gq   precision-3 sigma-point moment matching, then divide out the cavity
-  vq   log-space interpolation of the factor at the same sigma points
+  vq   Taylor fit at the cavity mean with central-difference derivatives
+       over the same sigma points
 
 A dense 1-D grid supplies ground-truth moments of cavity x factor so the
 schemes can be judged by the posterior mean and variance they imply.
@@ -71,8 +73,8 @@ def main():
         print(f"{name:<6} {prec:>14.5f} {mean:>10.5f} {var:>9.5f} "
               f"{abs(mean - true_mean):>9.5f}")
 
-    print("\nThe Taylor fits (la, qla) and the log-space fit (vq) all see a")
-    print("locally linear log-factor here, so their messages tilt the cavity")
+    print("\nThe Taylor fits (la, qla, and vq with its central differences) all")
+    print("see a locally linear log-factor here, so their messages tilt the cavity")
     print("without adding precision and the variance stays put.  Only the")
     print("moment-matching scheme (gq) integrates across the kink and")
     print("contracts toward the dense-grid truth.")

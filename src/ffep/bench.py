@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import EpConfig, EpTrace, classification_costs, ep_run
+from .engine import EpConfig, EpTrace, _require_integer, classification_costs, ep_run
 from .factors import PriorFactor
 from .ingest import ColumnSchema, Dataset, load_csv, preprocess
 from .losses import LossKind, loss_derivatives, loss_kinks
@@ -214,7 +214,11 @@ def reference_powell(dataset: Dataset, loss: LossKind, theta_init,
 
 @dataclass
 class RunConfig:
-    """One experiment: a dataset crossed with losses and schemes."""
+    """One experiment: a dataset crossed with losses and schemes.
+
+    ``timing_repetitions`` is an integer and ``with_references`` a bool;
+    the EP protocol fields are checked as EpConfig checks them.
+    """
 
     dataset_path: str | Path
     schema: ColumnSchema
@@ -238,8 +242,11 @@ class RunConfig:
             raise ValueError("at least one loss is required")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
+        _require_integer("timing_repetitions", self.timing_repetitions)
         if self.timing_repetitions < 1:
             raise ValueError("timing_repetitions must be at least 1")
+        if not isinstance(self.with_references, bool):
+            raise ValueError(f"with_references must be a bool, not {self.with_references!r}")
         self.ep_config = EpConfig(
             scheme=self.schemes[0],
             loss=self.losses[0],

@@ -200,7 +200,7 @@ def _build_run_config(args) -> RunConfig:
             schema=schema,
             losses=losses,
             schemes=schemes,
-            out_dir=s["out"],
+            out_dir=_typed(s, "out", str, "a string"),
             dataset_name=name,
             batch_size=_typed(s, "batch_size", int, "an integer"),
             n_sweeps=_typed(s, "sweeps", (int, type(None)), "an integer or null"),
@@ -242,13 +242,13 @@ def _cmd_reference(args) -> int:
     path, schema, name = _resolve_dataset(cfg)
     s = _merged_settings(args, cfg)
     losses, prior = _losses_and_prior(s)
+    out = Path(_typed(s, "out", str, "a string"))
     dataset = preprocess(load_csv(path, schema), name=name)
     refs = _compute_references(dataset, losses, prior)
     for loss_name, ref in refs.items():
         gap = "n/a" if ref["duality_gap"] is None else f"{ref['duality_gap']:.2e}"
         print(f"{loss_name:>8s}  cost={ref['cost']:.6f}  converged={ref['converged']}  "
               f"duality_gap={gap}")
-    out = Path(s["out"])
     out.mkdir(parents=True, exist_ok=True)
     target = out / "references.json"
     with open(target, "w") as fh:

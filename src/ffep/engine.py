@@ -71,6 +71,12 @@ _PRODUCT_TOL = 1e-9
 _MARGIN_BLOCK = 2**18
 
 
+def _require_integer(name: str, value):
+    """Raise ValueError unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass
 class EpConfig:
     """Everything one EP run needs besides the data itself.
@@ -99,10 +105,8 @@ class EpConfig:
             raise ValueError("beta must be positive")
         for name in ("batch_size", "n_sweeps", "cost_every"):
             value = getattr(self, name)
-            if value is None and name == "n_sweeps":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if not (value is None and name == "n_sweeps"):
+                _require_integer(name, value)
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.n_sweeps is not None and self.n_sweeps < 1:

@@ -19,17 +19,20 @@ diagonal of log f.  A factor may add a margin-space view, ``loss``,
 * ``gq``  - Gaussian quadrature: estimate the order-0/1/2 moments of c*f
             with the deterministic precision-3 sigma-point rule, match a
             Gaussian to them, and divide the cavity back out.
-* ``vq``  - variational quadrature: minimize a quadrature discretization of
-            the generalized KL divergence D(c*f || c*g) over the natural
-            parameters of g.  The minimizer is in closed form: log-space
-            interpolation of f at the 2d+1 sigma points ``gq`` also uses.
-            Exact whenever f itself is a factorized Gaussian, and it outputs
-            the message directly with no cavity division.
+* ``vq``  - variational quadrature: the Taylor fit of ``qla``, taken at the
+            cavity mean, with the slope and curvature of log f read as
+            central differences over the ``gq`` sigma points (step
+            gamma*sigma_i on axis i) instead of exact derivatives.  That is
+            the log-quadratic through the center and both spokes of every
+            axis, and the stationary point of the quadrature-discretized
+            generalized KL divergence D(c*f || c*g).  Exact whenever f itself
+            is a factorized Gaussian; no cavity division is involved.
 
 Messages may legitimately come out improper (nonnegative theta^2
-coefficient); admissibility is the EP engine's call, not ours.  Failures to
-produce any message at all raise SchemeFailure.  An improper cavity has no
-moments: each scheme reads its mean first, which raises ImproperGaussianError.
+coefficient) or even non-finite; admissibility is the EP engine's call, not
+ours.  A scheme raises SchemeFailure only when it cannot build a message.
+An improper cavity has no moments: each scheme reads its mean first, which
+raises ImproperGaussianError.
 """
 
 from __future__ import annotations
@@ -79,10 +82,6 @@ _QP_KKT_RTOL = 1e-12
 
 class SchemeFailure(RuntimeError):
     """A scheme could not produce a candidate message; the engine decides."""
-
-    def __init__(self, message, details=None):
-        super().__init__(message)
-        self.details = details
 
 
 @dataclass(frozen=True)
@@ -147,6 +146,15 @@ def build_rule(cavity: DiagGaussian, gamma: float | None = None) -> QuadratureRu
     w = np.full(2 * d + 1, 1.0 / (2.0 * g * g))
     w[0] = 1.0 - d / (g * g)
     return QuadratureRule(points=pts, weights=w, gamma=g)
+
+
+def _sigma_log_values(cavity: DiagGaussian, factor, gamma: float | None):
+    """The cavity's sigma-point rule and the log-factor at its points."""
+    rule = build_rule(cavity, gamma)
+    logf = factor.log_value_many(rule.points)
+    if not np.isfinite(np.max(logf)):
+        raise SchemeFailure("factor vanishes (or is undefined) at every quadrature point")
+    return rule, logf
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +356,7 @@ def approx_laplace(cavity: DiagGaussian, factor, scheme: SchemeKind | None = Non
         hd_f = np.zeros_like(theta)
     else:
         grad_f, hd_f = factor.log_grad_hessdiag(theta)
-    msg = _taylor_message(theta, value, grad_f, hd_f)
-    if not msg.is_finite():
-        raise SchemeFailure("non-finite Laplace message")
-    return msg
+    return _taylor_message(theta, value, grad_f, hd_f)
 
 
 def approx_quick_laplace(cavity: DiagGaussian, factor,
@@ -360,8 +365,6 @@ def approx_quick_laplace(cavity: DiagGaussian, factor,
     mu = cavity.mean
     value = factor.log_value(mu)
     grad_f, hd_f = factor.log_grad_hessdiag(mu)
-    if not (np.isfinite(value) and np.all(np.isfinite(grad_f)) and np.all(np.isfinite(hd_f))):
-        raise SchemeFailure("non-finite factor derivatives at the cavity mean")
     return _taylor_message(mu, value, grad_f, hd_f)
 
 
@@ -380,11 +383,8 @@ def approx_gauss_quadrature(cavity: DiagGaussian, factor,
     in natural parameters (exact) and may yield an improper message.
     """
     scheme = scheme or SchemeKind("gq")
-    rule = build_rule(cavity, scheme.gamma)
-    logf = factor.log_value_many(rule.points)
+    rule, logf = _sigma_log_values(cavity, factor, scheme.gamma)
     shift = float(np.max(logf))
-    if not np.isfinite(shift):
-        raise SchemeFailure("factor vanishes (or is undefined) at every quadrature point")
     f = np.exp(logf - shift)
     wf = rule.weights * f
     m0 = float(np.sum(wf))
@@ -393,10 +393,7 @@ def approx_gauss_quadrature(cavity: DiagGaussian, factor,
     try:
         matched = moments_to_natural(MomentVector(m0, m1, m2))
     except MomentMatchError as exc:
-        raise SchemeFailure(
-            f"quadrature moments not matchable: {exc}",
-            details={"m0": m0, "m1": m1, "m2": m2, "coordinate": exc.coordinate},
-        ) from exc
+        raise SchemeFailure(f"quadrature moments not matchable: {exc}") from exc
     matched = DiagGaussian(
         matched.log_scale + shift + cavity.log_mass,
         matched.linear,
@@ -412,47 +409,30 @@ def approx_gauss_quadrature(cavity: DiagGaussian, factor,
 
 def approx_variational_quadrature(cavity: DiagGaussian, factor,
                                   scheme: SchemeKind | None = None) -> DiagGaussian:
-    """Interpolate the log-factor in log space at the sigma points.
+    """The Taylor message at the cavity mean, with central-difference derivatives.
 
-    The rule has 2d+1 points and the quadrature-discretized generalized KL
-    surrogate 2d+1 monomials (the test oracle ``surrogate_value_grad_hess``
-    in ``tests/oracles.py`` evaluates it), so the design matrix is square
-    and invertible and the surrogate is stationary exactly where
-    exp(Phi alpha) equals the factor values: the log-quadratic through the
-    center and the two spokes of every axis.  With positive weights that
-    point is the surrogate's minimizer.  In cavity-standardized coordinates
-    z = (theta - mu)/sigma, with l the max-shifted log-factor values, that
-    is c0 = l_0, b_i = (l_+i - l_-i)/(2 gamma) and
-    a_i = (l_+i + l_-i - 2 l_0)/(2 gamma^2), mapped back to theta afterwards.
+    With l_0 the log-factor at the center mu and l_+i, l_-i its values at
+    the spokes mu +/- h_i e_i, h_i = gamma*sigma_i, the slope and curvature
+    of log f on axis i are taken as (l_+i - l_-i)/(2 h_i) and
+    (l_+i + l_-i - 2 l_0)/h_i^2, and the message is _taylor_message at mu
+    with them: the log-quadratic through the center and both spokes of
+    every axis.  ``qla`` builds the same message from exact derivatives.
 
-    The message does not depend on the quadrature weights, so a gamma with
-    gamma^2 = d (zero center weight, where the stationary point is no
-    longer unique) or gamma^2 < d (negative center weight) needs no
-    rejection.  The result is the message itself; no cavity division is
-    involved.
+    It is also the variational answer.  The rule has 2d+1 points and the
+    quadrature-discretized generalized KL surrogate 2d+1 monomials (the
+    test oracle ``surrogate_value_grad_hess`` in ``tests/oracles.py``
+    evaluates it), so the surrogate is stationary exactly where the message
+    interpolates the factor values; with positive weights that point is its
+    minimizer.  The message does not depend on the quadrature weights, so a
+    gamma with gamma^2 = d (zero center weight) or gamma^2 < d (negative)
+    needs no rejection.
     """
     scheme = scheme or SchemeKind("vq")
-    rule = build_rule(cavity, scheme.gamma)
-    d, gamma = cavity.dim, rule.gamma
-    logf = factor.log_value_many(rule.points)
-    shift = float(np.max(logf))
-    if not np.isfinite(shift):
-        raise SchemeFailure("factor vanishes (or is undefined) at every quadrature point")
-    shifted = logf - shift
-    c0, lp, lm = shifted[0], shifted[1 : d + 1], shifted[d + 1 :]
-    bz = (lp - lm) / (2.0 * gamma)
-    az = (lp + lm - 2.0 * c0) / (2.0 * gamma * gamma)
-
-    mu = cavity.mean
-    sigma = np.sqrt(cavity.variance)
-    # substitute z = (theta - mu)/sigma into log g = c0 + b.z + a.z^2
-    nhp = az / sigma**2
-    linear = bz / sigma - 2.0 * az * mu / sigma**2
-    log_scale = shift + c0 - float(np.sum(bz * mu / sigma)) + float(np.sum(az * mu**2 / sigma**2))
-    msg = DiagGaussian(log_scale, linear, nhp)
-    if not msg.is_finite():
-        raise SchemeFailure("non-finite variational-quadrature message")
-    return msg
+    rule, logf = _sigma_log_values(cavity, factor, scheme.gamma)
+    d = cavity.dim
+    h = rule.gamma * np.sqrt(cavity.variance)
+    l0, lp, lm = logf[0], logf[1 : d + 1], logf[d + 1 :]
+    return _taylor_message(cavity.mean, l0, (lp - lm) / (2.0 * h), (lp + lm - 2.0 * l0) / (h * h))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Regenerate ``tests/golden_runs.json``, the frozen outputs that
 ``test_golden_runs.py`` compares bit for bit.
 
-Usage: ``PYTHONPATH=src python tests/make_golden_runs.py``
+Usage: ``PYTHONPATH=src python tests/make_golden_runs.py [--diff]``
+
+With ``--diff`` it recomputes every run and writes nothing: for each run
+that differs from the file it prints the largest relative move over the
+final naturals and the last cost, and whether the per-sweep counts match.
 
 Every loss x scheme pair runs on the bundled synthetic306 table with the
 ``ffep run`` defaults (s = 10, beta = 1, prior variance 25, quasi 0-1
@@ -16,8 +20,11 @@ CHANGES.md.
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
+
+import numpy as np
 
 from ffep.engine import EpConfig, ep_run
 from ffep.ingest import bundled_synthetic_path, bundled_synthetic_schema, load_csv, preprocess
@@ -51,9 +58,39 @@ def golden_run(dataset, key: str) -> dict:
     }
 
 
-def main():
+def _numbers(run: dict) -> np.ndarray:
+    """A run's final naturals and last cost, as floats."""
+    hexes = [run["log_scale"], *run["linear"], *run["neg_half_precision"], run["last_cost"]]
+    return np.array([float.fromhex(h) for h in hexes])
+
+
+def diff_lines(golden_path: Path, runs: dict) -> list[str]:
+    """One line per run in ``runs`` that differs from the file at ``golden_path``."""
+    golden = json.loads(Path(golden_path).read_text())
+    lines = []
+    for key, run in runs.items():
+        if key not in golden:
+            lines.append(f"{key}: not in the file")
+        elif run != golden[key]:
+            old, new = _numbers(golden[key]), _numbers(run)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                move = np.where(old == new, 0.0, np.abs(new - old) / np.abs(old))
+            same = "match" if run["sweeps"] == golden[key]["sweeps"] else "differ"
+            lines.append(f"{key}: max relative move {move.max():.2g}, sweep counts {same}")
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--diff", action="store_true",
+                        help="report the runs that differ from the file; write nothing")
+    args = parser.parse_args(argv)
     dataset = load_synthetic306()
     runs = {key: golden_run(dataset, key) for key in RUN_KEYS}
+    if args.diff:
+        lines = diff_lines(GOLDEN_PATH, runs)
+        print("\n".join(lines) if lines else f"all {len(runs)} runs match {GOLDEN_PATH.name}")
+        return
     lines = ",\n".join(f" {json.dumps(key)}: {json.dumps(run)}" for key, run in runs.items())
     GOLDEN_PATH.write_text("{\n" + lines + "\n}\n")
     print(f"wrote {len(runs)} runs to {GOLDEN_PATH}")

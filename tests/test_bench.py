@@ -8,6 +8,7 @@ full-dataset values cross-checked against scipy's general-purpose minimizers
 
 import csv
 import json
+import re
 import shutil
 
 import numpy as np
@@ -175,6 +176,18 @@ class TestPowellReference:
             result = reference_powell(synthetic_dataset, hinge(), start, PRIOR)
             assert result.cost <= total_cost(start, synthetic_dataset,
                                              hinge(), PRIOR) + 1e-12
+
+    def test_spent_budget_returns_the_best_point_unconverged(self, synthetic_dataset,
+                                                             monkeypatch):
+        # one line search per dimension: a single cycle, with no composite step
+        monkeypatch.setattr(bench, "_POWELL_BUDGET_PER_DIM", 1)
+        d = synthetic_dataset.dim
+        start = np.zeros(d)
+        result = reference_powell(synthetic_dataset, quasi01(0.1), start, PRIOR)
+        assert not result.converged
+        assert result.n_line_searches == d
+        assert result.cost == total_cost(result.theta, synthetic_dataset, quasi01(0.1), PRIOR)
+        assert result.cost < total_cost(start, synthetic_dataset, quasi01(0.1), PRIOR)
 
     def test_smooth_loss_is_refused(self, synthetic_dataset):
         with pytest.raises(ValueError):
@@ -455,6 +468,30 @@ class TestRunExperiment:
         assert manifest["references"] == {}
         assert manifest["runs"][0]["reference_cost"] is None
 
+    def test_failed_reference_is_recorded_and_the_runs_go_on(self, small_csv, tmp_path,
+                                                             monkeypatch):
+        def no_reference(*args):
+            raise RuntimeError("logistic Newton did not reach the gradient tolerance")
+
+        monkeypatch.setattr(bench, "reference_newton_logistic", no_reference)
+        config = RunConfig(
+            dataset_path=small_csv,
+            schema=self.schema(),
+            losses=(logistic(), hinge()),
+            schemes=(SchemeKind(kind="qla"),),
+            out_dir=tmp_path / "out",
+            dataset_name="small",
+            prior=PRIOR,
+            timing_repetitions=1,
+        )
+        manifest = run_experiment(config)
+        assert manifest["failures"] == [{
+            "stage": "reference",
+            "error": "logistic Newton did not reach the gradient tolerance"}]
+        assert manifest["references"] == {}
+        assert [(r["loss"], r["reference_cost"]) for r in manifest["runs"]] == [
+            ("logistic", None), ("hinge", None)]
+
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError, match="loss"):
             RunConfig(dataset_path="x.csv", schema=self.schema(), losses=(),
@@ -466,6 +503,16 @@ class TestRunExperiment:
             RunConfig(dataset_path="x.csv", schema=self.schema(),
                       losses=(hinge(),), schemes=(SchemeKind(kind="la"),),
                       out_dir=tmp_path, timing_repetitions=0)
+        for name, value, message in [
+            ("timing_repetitions", 2.5, "timing_repetitions must be an integer, not 2.5"),
+            ("timing_repetitions", True, "timing_repetitions must be an integer, not True"),
+            ("with_references", "no", "with_references must be a bool, not 'no'"),
+            ("with_references", 1, "with_references must be a bool, not 1"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                RunConfig(dataset_path="x.csv", schema=self.schema(),
+                          losses=(hinge(),), schemes=(SchemeKind(kind="la"),),
+                          out_dir=tmp_path, **{name: value})
 
     def test_timing_row_requires_positive_time(self):
         with pytest.raises(ValueError, match="positive"):

@@ -198,6 +198,7 @@ BAD_SETTINGS = [
     ("bool-epsilon", [], {"losses": ["quasi01"], "epsilon": True},
      "'epsilon' must be a number, not True"),
     ("losses-not-a-list", [], {"losses": "hinge"}, "'losses' must be a list of names"),
+    ("int-out", [], {"out": 5}, "'out' must be a string, not 5"),
 ]
 # settings only ``ffep run`` reads: the schemes and the EP protocol
 BAD_RUN_SETTINGS = [

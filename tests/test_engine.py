@@ -76,6 +76,27 @@ class FailingFactor:
         return np.full(d, np.nan), np.full(d, np.nan)
 
 
+class NanSlopeFactor:
+    """A unit factor whose reported derivatives are NaN."""
+
+    def log_value(self, theta):
+        return 0.0
+
+    def log_value_many(self, thetas):
+        return np.zeros(len(thetas))
+
+    def log_grad_hessdiag(self, theta):
+        return np.full(len(theta), np.nan), np.zeros(len(theta))
+
+
+class DeadSpokeFactor:
+    """A unit factor that vanishes right of 0.5, where a unit cavity at 0
+    puts the sigma-point rule's + spoke and no other point."""
+
+    def log_value_many(self, thetas):
+        return np.where(thetas[:, 0] > 0.5, -np.inf, 0.0)
+
+
 class TestEpConfig:
     def test_sweep_defaults_depend_on_mode(self):
         assert config().resolved_sweeps == 5
@@ -295,6 +316,20 @@ class TestEngineMechanics:
         assert all(r.update_status == "scheme_failed" for r in trace.records)
         assert [s.rejected for s in trace.sweeps] == [0, 0]
         assert state.global_approx.precision[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("kind, factor", [
+        ("qla", NanSlopeFactor()),
+        ("vq", DeadSpokeFactor()),
+    ], ids=["qla-nan-derivatives", "vq-one-dead-spoke"])
+    def test_non_finite_candidates_are_gated_not_failed(self, kind, factor):
+        """A scheme that can build a message hands it to the gate, finite or
+        not, and the gate rejects the non-finite one."""
+        cfg = config(kind, prior=PriorFactor(variance=1.0), n_sweeps=2)
+        state, trace = ep_run_factors([factor], 1, cfg)
+        assert [(s.applied, s.rejected, s.scheme_failed) for s in trace.sweeps] == [
+            (0, 1, 0), (0, 1, 0)]
+        assert state.global_approx.precision[0] == 1.0
+        assert state.messages[0].log_scale == 0.0
 
     def test_cost_column_is_thinned_but_final_visit_always_costed(self):
         factors = [gaussian_factor([0.5], [1.0]), gaussian_factor([-0.5], [1.0])]

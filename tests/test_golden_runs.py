@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from make_golden_runs import GOLDEN_PATH, RUN_KEYS, golden_run, load_synthetic306
+from make_golden_runs import GOLDEN_PATH, RUN_KEYS, diff_lines, golden_run, load_synthetic306
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
@@ -33,3 +33,14 @@ def test_the_file_holds_every_run():
 @pytest.mark.parametrize("key", RUN_KEYS)
 def test_run_matches_its_frozen_outputs(synthetic306, key):
     assert golden_run(synthetic306, key) == GOLDEN[key]
+
+
+def test_diff_reports_only_the_perturbed_run(synthetic306, tmp_path):
+    perturbed = json.loads(GOLDEN_PATH.read_text())
+    run = perturbed["looping/hinge/la"]
+    run["linear"][1] = (float.fromhex(run["linear"][1]) * (1.0 + 1e-9)).hex()
+    copy = tmp_path / "golden_runs.json"
+    copy.write_text(json.dumps(perturbed))
+    runs = {key: golden_run(synthetic306, key) for key in RUN_KEYS}
+    assert diff_lines(copy, runs) == [
+        "looping/hinge/la: max relative move 1e-09, sweep counts match"]
