@@ -11,7 +11,8 @@ provide the reference training cost each trajectory is judged against.
 The table reports, per loss and scheme, the final training cost, its gap
 to the reference, the cost range over the last sweep (a stability readout),
 update-gate rejections, inner-solver failures, and milliseconds per
-mini-batch visit.
+computed mini-batch visit (``ffep.engine`` repeats, rather than computes,
+the visits of a run that has stopped changing).
 
 A second section checks the streaming mode: one pass over the factors with
 cavity = current posterior must reproduce a single looping sweep bit for
@@ -60,7 +61,7 @@ def main():
             print(f"  {kind:<6} {final:>10.4f} {100 * (final - ref) / ref:>+8.2f}% "
                   f"{float(last.max() - last.min()):>14.4f} "
                   f"{rejected:>4d} {failures:>4d} "
-                  f"{trace.total_ms / trace.n_visits:>8.3f}")
+                  f"{trace.ms_per_computed_visit:>8.3f}")
         print()
 
     print("streaming vs one looping sweep (posterior natural parameters):")

@@ -17,7 +17,8 @@ Outputs of run_experiment, all under the configured directory:
   ``sweep,factor_index,update_status,total_cost,cumulative_ms`` (an optional
   leading ``# reference_cost=...`` comment carries the offline optimum);
 * ``timing.csv`` with one row per run: median over repeated runs of the mean
-  engine time per mini-batch visit, cost evaluations excluded;
+  engine time per computed, not repeated, mini-batch visit
+  (``EpTrace.ms_per_computed_visit``), cost evaluations excluded;
 * ``manifest.json`` describing every run, reference solution, and failure.
 """
 
@@ -388,7 +389,7 @@ def run_experiment(config: RunConfig) -> dict:
                 state = trace = None
                 for _ in range(config.timing_repetitions):
                     run_state, run_trace = ep_run(ep_config, dataset)
-                    per_batch_ms.append(run_trace.total_ms / run_trace.n_visits)
+                    per_batch_ms.append(run_trace.ms_per_computed_visit)
                     if state is None:
                         state, trace = run_state, run_trace
                 ref = manifest["references"].get(loss.name)

@@ -40,6 +40,9 @@ _DATA_ERROR = 2
 _RUNS_FAILED = 3
 # a real-valued setting: JSON's integers and floats, but not its true/false
 _REAL = (int, float)
+# a column: a header name, or a 0-based position in a file without a header
+_COLUMN = (str, int)
+_DATASET_KEYS = ("path", "label", "label_map", "numeric", "categorical", "has_header", "name")
 
 _DEFAULTS = {
     "losses": ["logistic", "hinge", "quasi01"],
@@ -116,25 +119,40 @@ def _load_config_file(path) -> dict:
 
 
 def _resolve_dataset(cfg: dict):
-    """Dataset path + schema from a config's ``dataset`` section (or the bundled one)."""
+    """Dataset path + schema from a config's ``dataset`` section (or the bundled one).
+
+    Every key is typed here, before any data is read; a bad or missing one
+    is a usage error naming it as ``dataset.<key>``.
+    """
     section = cfg.get("dataset")
     if section is None:
         return bundled_synthetic_path(), bundled_synthetic_schema(), "synthetic306"
+    if not isinstance(section, dict):
+        raise _UsageError(f"config key 'dataset' must be an object, not {section!r}")
+    unknown = set(section) - set(_DATASET_KEYS)
+    if unknown:
+        raise _UsageError(f"unknown dataset keys: {', '.join(sorted(unknown))}")
+    d = {"dataset.numeric": [], "dataset.categorical": [], "dataset.has_header": True,
+         "dataset.name": None}
+    d.update((f"dataset.{k}", v) for k, v in section.items())
     try:
-        path = section["path"]
-        if path == "bundled:synthetic":
-            path = bundled_synthetic_path()
+        path = _typed(d, "dataset.path", str, "a string")
         schema = ColumnSchema(
-            label=section["label"],
-            label_map={str(k): int(v) for k, v in section["label_map"].items()},
-            numeric=tuple(section.get("numeric", ())),
-            categorical=tuple(section.get("categorical", ())),
-            has_header=bool(section.get("has_header", True)),
+            label=_typed(d, "dataset.label", _COLUMN, "a column name or position"),
+            label_map=_typed_items(d, "dataset.label_map", dict, int, "an object of integers"),
+            numeric=_typed_items(d, "dataset.numeric", list, _COLUMN, "a list of columns"),
+            categorical=_typed_items(d, "dataset.categorical", list, _COLUMN,
+                                     "a list of columns"),
+            has_header=_typed(d, "dataset.has_header", bool, "true or false"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        name = _typed(d, "dataset.name", (str, type(None)), "a string or null")
+    except KeyError as exc:
+        raise _UsageError(f"config key {exc} is missing") from exc
+    except ValueError as exc:
         raise _UsageError(f"bad dataset section in config: {exc}") from exc
-    name = section.get("name") or Path(str(path)).stem
-    return path, schema, name
+    if path == "bundled:synthetic":
+        path = bundled_synthetic_path()
+    return path, schema, name or Path(str(path)).stem
 
 
 def _merged_settings(args, cfg: dict) -> dict:
@@ -158,18 +176,31 @@ def _merged_settings(args, cfg: dict) -> dict:
     return settings
 
 
-def _names(s: dict, key: str) -> list:
-    """The settings' ``key``, which must be a list of names."""
-    names = s[key]
-    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-        raise _UsageError(f"config key {key!r} must be a list of names, not {names!r}")
-    return names
+def _is(value, kind) -> bool:
+    """isinstance(value, kind), except that a bool is a ``kind`` only when
+    ``kind`` is bool itself."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _typed(s: dict, key: str, kind, what: str):
     """The settings' ``key``, which must be a ``kind``; a bool is no integer."""
     value = s[key]
-    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+    if not _is(value, kind):
+        raise _UsageError(f"config key {key!r} must be {what}, not {value!r}")
+    return value
+
+
+def _names(s: dict, key: str) -> list:
+    """The settings' ``key``, which must be a list of names."""
+    return _typed_items(s, key, list, str, "a list of names")
+
+
+def _typed_items(s: dict, key: str, container, kind, what: str):
+    """The settings' ``key``: a ``container`` (list or dict) whose items, or
+    values, are each a ``kind`` as ``_typed`` reads it."""
+    value = s[key]
+    items = value.values() if isinstance(value, dict) else value
+    if not (isinstance(value, container) and all(_is(v, kind) for v in items)):
         raise _UsageError(f"config key {key!r} must be {what}, not {value!r}")
     return value
 

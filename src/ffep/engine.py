@@ -19,12 +19,22 @@ to ``gate_update``, which returns the posterior cavity * candidate it
 checked (or None); an accepted posterior becomes the global approximation
 as it is, and the refreshed message replaces the stored one in full.
 
-Runs always execute the configured number of sweeps; stationarity is
+Runs always record the configured number of sweeps; stationarity is
 something we measure, never a stopping rule: the trace records, per sweep,
 the largest change of any posterior mean and precision over that sweep and
 how many visits were applied, rejected and failed by the scheme.  Those
 per-sweep counts are the only tally of visit outcomes.  Scheme failures and
 gated-out updates are recorded in the trace and skipped, not raised.
+
+A visit's outcome is a function of the global approximation, factor k's
+stored message and factor k alone, and only an applied visit changes the
+first two.  So once K consecutive visits (one of each factor) have applied
+nothing, the state is fixed for good and every later visit would repeat its
+factor's last outcome bit for bit.  Such a visit is recorded with that
+status without forming the cavity, calling the scheme or the gate, and is
+counted in its sweep's ``repeated``.  This memoizes, it does not stop: the
+records, costs, statuses and final state are those of a full recomputation,
+and only ``cumulative_ms`` stays flat over the repeated visits.
 
 The trace's cost column is evaluated in stacks.  ``cost_fn`` maps an (m, d)
 stack of posterior means to m costs (``classification_costs`` is the one
@@ -180,8 +190,9 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """How far one sweep moved the posterior (max |change| over coordinates)
-    and how many of its visits ended in each update status."""
+    """How far one sweep moved the posterior (max |change| over coordinates),
+    how many of its visits ended in each update status, and how many of
+    those repeated their factor's last outcome instead of being computed."""
 
     sweep: int
     max_mean_change: float
@@ -189,6 +200,7 @@ class SweepRecord:
     applied: int
     rejected: int
     scheme_failed: int
+    repeated: int
 
 
 @dataclass
@@ -203,6 +215,11 @@ class EpTrace:
     @property
     def total_ms(self) -> float:
         return self.records[-1].cumulative_ms if self.records else 0.0
+
+    @property
+    def ms_per_computed_visit(self) -> float:
+        """Engine time per visit, over the visits computed, not repeated."""
+        return self.total_ms / (self.n_visits - sum(s.repeated for s in self.sweeps))
 
     def costs(self, sweep: int | None = None) -> np.ndarray:
         """Recorded costs (NaNs dropped), optionally for a single sweep."""
@@ -270,13 +287,35 @@ def classification_costs(thetas, dataset: Dataset, loss: LossKind) -> np.ndarray
     return costs
 
 
+def _visit(state: EpState, k: int, factor, scheme: SchemeKind, looping: bool) -> str:
+    """Refit factor k in its cavity and apply the gated update; returns the
+    update status."""
+    cavity = divide(state.global_approx, state.message(k)) if looping else state.global_approx
+    if not cavity.is_proper:
+        return "rejected"
+    try:
+        candidate = approximate(scheme, cavity, factor)
+    except SchemeFailure:
+        return "scheme_failed"
+    posterior = gate_update(cavity, candidate)
+    if posterior is None:
+        return "rejected"
+    state.global_approx = posterior
+    if looping:
+        state.store(k, candidate)
+    return "applied"
+
+
 def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
     """Run EP over an explicit factor list.
 
     Each factor exposes ``log_value(theta)``, ``log_value_many(thetas)``
     (an (m, d) stack to m values) and, for ``la`` and ``qla``,
     ``log_grad_hessdiag(theta)``, as ``BoundFactor`` and ``GaussianFactor``
-    do; ``schemes`` describes the optional margin-space view.
+    do; ``schemes`` describes the optional margin-space view.  Factors and
+    schemes must be deterministic: the same cavity and factor give the same
+    candidate, or the same failure, on every call.  The repeat rule in the
+    module docstring relies on it.
 
     ``cost_fn`` maps an (m, d) stack of parameter vectors to their m costs
     for the trace's total-cost column; when omitted the column is NaN
@@ -293,29 +332,24 @@ def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
     visit = 0
     n_total = config.resolved_sweeps * len(factors)
     cost, cost_stale = np.nan, True
+    last = [None] * len(factors)  # each factor's last status
+    quiet = 0  # visits since the last applied one
     for sweep in range(config.resolved_sweeps):
         start = state.global_approx
         means = []  # posterior means queued for costing at the sweep's end
         visits = []  # (status, cost slot, cumulative ms) per visit
+        repeated = 0
         for k in range(len(factors)):
             visit += 1
-            status = "rejected"
-
-            tic = time.perf_counter()
-            cavity = divide(state.global_approx, state.message(k)) if looping else state.global_approx
-            if cavity.is_proper:
-                try:
-                    candidate = approximate(config.scheme, cavity, factors[k])
-                except SchemeFailure:
-                    status = "scheme_failed"
-                else:
-                    posterior = gate_update(cavity, candidate)
-                    if posterior is not None:
-                        status = "applied"
-                        state.global_approx = posterior
-                        if looping:
-                            state.store(k, candidate)
-            elapsed += time.perf_counter() - tic
+            if quiet >= len(factors):
+                status = last[k]
+                repeated += 1
+            else:
+                tic = time.perf_counter()
+                status = _visit(state, k, factors[k], config.scheme, looping)
+                elapsed += time.perf_counter() - tic
+            last[k] = status
+            quiet = 0 if status == "applied" else quiet + 1
 
             # bookkeeping below is outside the timed region
             if status == "applied":
@@ -349,6 +383,7 @@ def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
             statuses.count("applied"),
             statuses.count("rejected"),
             statuses.count("scheme_failed"),
+            repeated,
         ))
     return state, trace
 

@@ -262,10 +262,14 @@ def _load_rows(path, schema: ColumnSchema) -> RawTable:
 
 
 def preprocess(table: RawTable, name: str = "dataset") -> Dataset:
-    """Center and unit-norm every feature column, then append the baseline."""
+    """Center and unit-norm every feature column, then append the baseline.
+
+    Raises DataLoadError on a table with fewer than 2 rows or no feature.
+    """
     X = np.asarray(table.columns, dtype=float)
     if X.shape[0] < 2 or X.shape[1] < 1:
-        raise ValueError("need at least 2 examples and 1 feature")
+        raise DataLoadError(f"{name}: need at least 2 usable rows and 1 feature, "
+                            f"not {X.shape[0]} and {X.shape[1]}")
     X = X - X.mean(axis=0)
     norms = np.linalg.norm(X, axis=0)
     nonzero = norms > 0

@@ -446,11 +446,41 @@ class TestRunExperiment:
         sweeps = written["runs"][0]["sweeps"]
         assert [s["sweep"] for s in sweeps] == [0, 1, 2, 3, 4]
         assert set(sweeps[0]) == {"sweep", "max_mean_change", "max_precision_change",
-                                  "applied", "rejected", "scheme_failed"}
+                                  "applied", "rejected", "scheme_failed", "repeated"}
         assert sweeps[0]["max_mean_change"] > sweeps[-1]["max_mean_change"] >= 0.0
         for run in written["runs"]:
             assert run["rejected_updates"] == sum(s["rejected"] for s in run["sweeps"])
             assert run["scheme_failures"] == sum(s["scheme_failed"] for s in run["sweeps"])
+
+    def test_timing_is_per_computed_visit(self, tmp_path, monkeypatch):
+        # vq on quasi 0-1 rejects every visit, so sweeps 1-4 repeat sweep 0
+        traces = []
+        real = bench.ep_run
+
+        def ep_run(*args):
+            state, trace = real(*args)
+            traces.append(trace)
+            return state, trace
+
+        monkeypatch.setattr(bench, "ep_run", ep_run)
+        config = RunConfig(
+            dataset_path=bundled_synthetic_path(),
+            schema=self.schema(),
+            losses=(quasi01(0.1),),
+            schemes=(SchemeKind(kind="vq"),),
+            out_dir=tmp_path / "out",
+            prior=PRIOR,
+            timing_repetitions=1,
+            with_references=False,
+        )
+        (run,) = run_experiment(config)["runs"]
+        (trace,) = traces
+        assert [s["repeated"] for s in run["sweeps"]] == [0, 31, 31, 31, 31]
+        assert run["mean_ms_per_minibatch"] == trace.total_ms / 31
+        with open(tmp_path / "out" / "timing.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert float(row["mean_ms_per_minibatch"]) == pytest.approx(
+            trace.total_ms / 31, rel=1e-5)
 
     def test_reference_computation_can_be_disabled(self, small_csv, tmp_path):
         config = RunConfig(

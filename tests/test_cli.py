@@ -28,15 +28,23 @@ def small_csv(tmp_path):
     return path
 
 
-def write_config(tmp_path, small_csv, **overrides):
+# a ``dataset_keys`` value that removes the key from the dataset section
+MISSING = object()
+
+
+def write_config(tmp_path, small_csv, dataset_keys=(), **overrides):
+    """A config over ``small_csv``; ``dataset_keys`` changes single keys of
+    its dataset section, the overrides replace whole top-level keys."""
+    section = {
+        "path": str(small_csv),
+        "label": "status",
+        "label_map": {"1": 1, "2": -1},
+        "numeric": ["age", "year", "nodes"],
+        "name": "small",
+        **dict(dataset_keys),
+    }
     cfg = {
-        "dataset": {
-            "path": str(small_csv),
-            "label": "status",
-            "label_map": {"1": 1, "2": -1},
-            "numeric": ["age", "year", "nodes"],
-            "name": "small",
-        },
+        "dataset": {k: v for k, v in section.items() if v is not MISSING},
         "losses": ["logistic"],
         "schemes": ["qla"],
         "timing_repetitions": 1,
@@ -112,6 +120,18 @@ class TestRunCommand:
         small_csv.unlink()
         assert main(["run", "--config", str(cfg)]) == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_headerless_file_takes_column_positions(self, tmp_path, small_csv):
+        lines = small_csv.read_text().splitlines()
+        small_csv.write_text("\n".join(lines[1:]) + "\n")
+        header = lines[0].split(",")
+        positions = {"label": header.index("status"),
+                     "numeric": [header.index(c) for c in ("age", "year", "nodes")]}
+        cfg = write_config(tmp_path, small_csv,
+                           dataset_keys={"has_header": False, **positions})
+        assert main(["run", "--config", str(cfg)]) == 0
+        manifest = json.loads((tmp_path / "results" / "manifest.json").read_text())
+        assert manifest["dataset"]["n_examples"] == 40
 
     def test_failed_runs_exit_with_code_three(self, tmp_path, small_csv, capsys):
         # Batches larger than the 40-row table fail every run, once it is read.
@@ -199,6 +219,29 @@ BAD_SETTINGS = [
      "'epsilon' must be a number, not True"),
     ("losses-not-a-list", [], {"losses": "hinge"}, "'losses' must be a list of names"),
     ("int-out", [], {"out": 5}, "'out' must be a string, not 5"),
+    ("string-has-header", [], {"dataset_keys": {"has_header": "no"}},
+     "'dataset.has_header' must be true or false, not 'no'"),
+    ("float-label-map", [], {"dataset_keys": {"label_map": {"1": 1.7, "2": -1}}},
+     "'dataset.label_map' must be an object of integers, not {'1': 1.7, '2': -1}"),
+    ("bool-label-map", [], {"dataset_keys": {"label_map": {"1": True, "2": -1}}},
+     "'dataset.label_map' must be an object of integers, not {'1': True, '2': -1}"),
+    ("out-of-range-label-map", [], {"dataset_keys": {"label_map": {"1": 2, "2": -1}}},
+     "label_map values must be +1 or -1"),
+    ("bool-label", [], {"dataset_keys": {"label": True}},
+     "'dataset.label' must be a column name or position, not True"),
+    ("string-numeric", [], {"dataset_keys": {"numeric": "age"}},
+     "'dataset.numeric' must be a list of columns, not 'age'"),
+    ("bool-categorical", [], {"dataset_keys": {"categorical": [False]}},
+     "'dataset.categorical' must be a list of columns, not [False]"),
+    ("int-path", [], {"dataset_keys": {"path": 7}}, "'dataset.path' must be a string, not 7"),
+    ("int-name", [], {"dataset_keys": {"name": 5}},
+     "'dataset.name' must be a string or null, not 5"),
+    ("missing-label", [], {"dataset_keys": {"label": MISSING}},
+     "config key 'dataset.label' is missing"),
+    ("unknown-dataset-key", [], {"dataset_keys": {"has_headr": False}},
+     "unknown dataset keys: has_headr"),
+    ("dataset-not-an-object", [], {"dataset": "small.csv"},
+     "config key 'dataset' must be an object, not 'small.csv'"),
 ]
 # settings only ``ffep run`` reads: the schemes and the EP protocol
 BAD_RUN_SETTINGS = [
@@ -252,6 +295,19 @@ class TestBadSettingsAreUsageErrors:
         assert err.startswith("ffep: error: ")
         assert message in err
         assert not (tmp_path / "results").exists()
+
+
+class TestTooFewRowsIsADataError:
+    """A table with fewer than two usable rows cannot be standardized."""
+
+    @pytest.mark.parametrize("command", ["run", "reference"])
+    def test_one_row_table_exits_two(self, tmp_path, small_csv, capsys, command):
+        small_csv.write_text("\n".join(small_csv.read_text().splitlines()[:2]) + "\n")
+        cfg = write_config(tmp_path, small_csv)
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ffep: data error: ")
+        assert "need at least 2 usable rows" in err
 
 
 class TestReportCommand:

@@ -564,12 +564,72 @@ class TestSweepRecords:
         _, trace = ep_run(cfg, synthetic_dataset)
         assert [(s.applied, s.rejected, s.scheme_failed) for s in trace.sweeps] == [
             (0, 31, 0)] * 5
+        # sweeps 1-4 repeat sweep 0's outcomes instead of computing them
+        assert [s.repeated for s in trace.sweeps] == [0, 31, 31, 31, 31]
 
     def test_streaming_records_its_single_pass(self):
         rng = np.random.default_rng(45)
         ds = random_dataset(rng, 20, 2)
         _, trace = ep_run(config("qla", batch_size=5, mode="streaming"), ds)
         assert len(trace.sweeps) == 1 and trace.sweeps[0].max_mean_change > 0
+
+
+class TestRepeatedVisits:
+    """Once K consecutive visits apply nothing, each later visit repeats its
+    factor's last outcome without being computed."""
+
+    @staticmethod
+    def count_scheme_calls(monkeypatch):
+        calls = []
+        real = engine.approximate
+
+        def approximate(scheme, cavity, factor):
+            calls.append(factor)
+            return real(scheme, cavity, factor)
+
+        monkeypatch.setattr(engine, "approximate", approximate)
+        return calls
+
+    def test_a_quiet_cycle_is_computed_once(self, monkeypatch):
+        calls = self.count_scheme_calls(monkeypatch)
+        # vq: the first factor fails the scheme, the second the gate
+        factors = [FailingFactor(), hopeless_factor(), FailingFactor()]
+        cost_fn = lambda th: th[:, 0] + 1.0  # noqa: E731
+        state, trace = ep_run_factors(factors, 1, config("vq", prior=PriorFactor(variance=1.0)),
+                                      cost_fn=cost_fn)
+        assert len(calls) == 3
+        assert [s.repeated for s in trace.sweeps] == [0, 3, 3, 3, 3]
+        assert [(s.applied, s.rejected, s.scheme_failed) for s in trace.sweeps] == [
+            (0, 1, 2)] * 5
+        assert [r.update_status for r in trace.records] == [
+            "scheme_failed", "rejected", "scheme_failed"] * 5
+        assert all(r.total_cost == 1.0 for r in trace.records)
+        assert {r.cumulative_ms for r in trace.records[2:]} == {trace.total_ms}
+        assert state.global_approx.precision[0] == 1.0
+
+    def test_an_applied_visit_k_minus_one_back_is_not_repeated(self, monkeypatch):
+        calls = self.count_scheme_calls(monkeypatch)
+        # each sweep applies factor 0, then rejects two: K - 1 quiet visits
+        factors = [gaussian_factor([0.5], [1.0]), hopeless_factor(), hopeless_factor()]
+        _, trace = ep_run_factors(factors, 1, config("qla", prior=PriorFactor(variance=4.0)))
+        assert len(calls) == 15
+        assert [s.repeated for s in trace.sweeps] == [0] * 5
+        assert [(s.applied, s.rejected) for s in trace.sweeps] == [(1, 2)] * 5
+
+    def test_streaming_never_repeats(self, monkeypatch):
+        calls = self.count_scheme_calls(monkeypatch)
+        factors = [FailingFactor() for _ in range(3)]
+        cfg = config("vq", prior=PriorFactor(variance=1.0), mode="streaming")
+        _, trace = ep_run_factors(factors, 1, cfg)
+        assert len(calls) == 3
+        assert [s.repeated for s in trace.sweeps] == [0]
+
+    def test_timing_divides_by_computed_visits(self):
+        factors = [FailingFactor(), FailingFactor()]
+        _, trace = ep_run_factors(factors, 1, config("vq", prior=PriorFactor(variance=1.0)))
+        assert trace.n_visits == 10
+        assert sum(s.repeated for s in trace.sweeps) == 8
+        assert trace.ms_per_computed_visit == trace.total_ms / 2
 
 
 class TestStreamingEquivalence:
