@@ -49,9 +49,9 @@ def main():
     show("product with correction", multiply(posterior, correction))
 
     # natural parameters <-> raw moments round trip
-    m = natural_to_moments(likeish)
-    print(f"moments of the factor message: mass={m.m0:.4f} "
-          f"m1={np.round(m.m1, 4)} m2={np.round(m.m2, 4)}")
+    m0, m1, m2 = natural_to_moments(likeish)
+    print(f"moments of the factor message: mass={m0:.4f} "
+          f"m1={np.round(m1, 4)} m2={np.round(m2, 4)}")
 
     # log-density evaluation matches the quadratic form
     theta = np.array([0.5, -1.0])

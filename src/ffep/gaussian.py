@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "DiagGaussian",
-    "MomentVector",
     "ImproperGaussianError",
     "MomentMatchError",
     "multiply",
@@ -85,12 +84,7 @@ class DiagGaussian:
         var = np.broadcast_to(np.asarray(var, dtype=float), mean.shape).astype(float)
         if np.any(var <= 0):
             raise ValueError("variances must be strictly positive")
-        nhp = -0.5 / var
-        linear = mean / var
-        log_scale = log_mass - 0.5 * float(
-            np.sum(np.log(2.0 * np.pi * var) + mean**2 / var)
-        )
-        return cls(log_scale, linear, nhp)
+        return _from_checked_mean_var(mean, var, log_mass)
 
     # -- derived views ---------------------------------------------------------
 
@@ -120,12 +114,9 @@ class DiagGaussian:
     @property
     def log_mass(self) -> float:
         """Log of the total integral of g over R^d."""
-        self._require_proper()
         var = self.variance
-        mean = self.mean
-        return self.log_scale + 0.5 * float(
-            np.sum(np.log(2.0 * np.pi * var) + mean**2 / var)
-        )
+        mean = self.linear * var  # the mean, without checking properness again
+        return self.log_scale + 0.5 * float((np.log(2.0 * np.pi * var) + mean**2 / var).sum())
 
     def _require_proper(self):
         if not self.is_proper:
@@ -141,24 +132,6 @@ class DiagGaussian:
             and np.isfinite(self.linear).all()
             and np.isfinite(self.neg_half_precision).all()
         )
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Raw moments of order 0, 1, 2 of a weighted factor (per coordinate)."""
-
-    m0: float
-    m1: np.ndarray
-    m2: np.ndarray
-
-    def __post_init__(self):
-        m1 = np.asarray(self.m1, dtype=float).reshape(-1)
-        m2 = np.asarray(self.m2, dtype=float).reshape(-1)
-        if m1.shape != m2.shape or m1.size < 1:
-            raise ValueError("m1 and m2 must be equal-length nonempty vectors")
-        object.__setattr__(self, "m0", float(self.m0))
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
 
 
 def _check_dims(a: DiagGaussian, b: DiagGaussian):
@@ -186,13 +159,35 @@ def divide(a: DiagGaussian, b: DiagGaussian) -> DiagGaussian:
     )
 
 
-def moments_to_natural(m: MomentVector) -> DiagGaussian:
-    """The unique unnormalized factorized Gaussian with the given raw moments."""
-    if not (m.m0 > 0):
-        raise MomentMatchError(f"zeroth moment must be positive, got {m.m0:g}")
-    mean = m.m1 / m.m0
-    var = m.m2 / m.m0 - mean**2
-    if np.any(var <= 0) or not np.all(np.isfinite(var)):
+def _from_checked_mean_var(mean, var, log_mass, log_shifts=()) -> DiagGaussian:
+    """The Gaussian of from_mean_var, for 1-D float arrays with var > 0.
+
+    Each of ``log_shifts`` is then added to the log scale, one at a time.
+    """
+    log_scale = log_mass - 0.5 * float((np.log(2.0 * np.pi * var) + mean**2 / var).sum())
+    for shift in log_shifts:
+        log_scale += shift
+    return DiagGaussian(log_scale, mean / var, -0.5 / var)
+
+
+def moments_to_natural(m0, m1, m2, log_shifts=()) -> DiagGaussian:
+    """The unique unnormalized factorized Gaussian with raw moments m0, m1, m2.
+
+    ``m0`` is the total mass and ``m1``, ``m2`` the per-coordinate first and
+    second raw moments.  Moments taken in units of exp(s1 + s2 + ...), as a
+    max-shifted quadrature sum is, pass ``log_shifts=(s1, s2, ...)``: each
+    is added to the log scale in turn.
+    """
+    m0 = float(m0)
+    m1 = np.asarray(m1, dtype=float).reshape(-1)
+    m2 = np.asarray(m2, dtype=float).reshape(-1)
+    if m1.shape != m2.shape or m1.size < 1:
+        raise ValueError("m1 and m2 must be equal-length nonempty vectors")
+    if not (m0 > 0):
+        raise MomentMatchError(f"zeroth moment must be positive, got {m0:g}")
+    mean = m1 / m0
+    var = m2 / m0 - mean**2
+    if not ((var > 0.0).all() and np.isfinite(var).all()):
         bad = int(np.argmin(var)) if np.all(np.isfinite(var)) else int(
             np.argmax(~np.isfinite(var))
         )
@@ -200,15 +195,14 @@ def moments_to_natural(m: MomentVector) -> DiagGaussian:
             f"coordinate {bad} implies nonpositive variance {var[bad]:g}",
             coordinate=bad,
         )
-    return DiagGaussian.from_mean_var(mean, var, log_mass=float(np.log(m.m0)))
+    return _from_checked_mean_var(mean, var, float(np.log(m0)), log_shifts)
 
 
-def natural_to_moments(g: DiagGaussian) -> MomentVector:
-    """Exact raw moments of a proper Gaussian; inverse of moments_to_natural."""
-    g._require_proper()
+def natural_to_moments(g: DiagGaussian) -> tuple[float, np.ndarray, np.ndarray]:
+    """Exact raw moments (m0, m1, m2) of a proper Gaussian; inverse of moments_to_natural."""
     m0 = float(np.exp(g.log_mass))
     mean = g.mean
-    return MomentVector(m0, m0 * mean, m0 * (g.variance + mean**2))
+    return m0, m0 * mean, m0 * (g.variance + mean**2)
 
 
 def eval_log(g: DiagGaussian, theta) -> np.ndarray | float:

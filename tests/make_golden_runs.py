@@ -6,6 +6,7 @@ Usage: ``PYTHONPATH=src python tests/make_golden_runs.py [--diff]``
 With ``--diff`` it recomputes every run and writes nothing: for each run
 that differs from the file it prints the largest relative move over the
 final naturals and the last cost, and whether the per-sweep counts match.
+It exits 1 when any run differs and 0 when all match.
 
 Every loss x scheme pair runs on the bundled synthetic306 table with the
 ``ffep run`` defaults (s = 10, beta = 1, prior variance 25, quasi 0-1
@@ -80,7 +81,7 @@ def diff_lines(golden_path: Path, runs: dict) -> list[str]:
     return lines
 
 
-def main(argv=None):
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--diff", action="store_true",
                         help="report the runs that differ from the file; write nothing")
@@ -90,11 +91,12 @@ def main(argv=None):
     if args.diff:
         lines = diff_lines(GOLDEN_PATH, runs)
         print("\n".join(lines) if lines else f"all {len(runs)} runs match {GOLDEN_PATH.name}")
-        return
+        return 1 if lines else 0
     lines = ",\n".join(f" {json.dumps(key)}: {json.dumps(run)}" for key, run in runs.items())
     GOLDEN_PATH.write_text("{\n" + lines + "\n}\n")
     print(f"wrote {len(runs)} runs to {GOLDEN_PATH}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -689,14 +689,28 @@ class TestEdgeInputs:
         np.testing.assert_array_equal(loop.global_approx.linear, g.linear)
         np.testing.assert_array_equal(loop.global_approx.neg_half_precision,
                                       g.neg_half_precision)
-        # gq is left out: its weighted sigma-point cloud collapses onto the
-        # spokes of the other coordinates, so moment matching posts precision
-        # on the inert coordinate (here 0.51 for logistic at beta=1, 2.4e16 at
-        # beta=50, 1.3e32 for quasi01 at beta=50). That is a known defect
-        # of the rule, not a tolerance to widen.
-        if kind != "gq":
-            assert g.precision[1] == 0.04
-            assert g.mean[1] == 0.0
+        if kind != "gq":  # gq's case is the strict xfail below
+            self.assert_inert_coordinate_keeps_the_prior(g)
+
+    @staticmethod
+    def assert_inert_coordinate_keeps_the_prior(g):
+        assert g.precision[1] == 0.04
+        assert g.mean[1] == 0.0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "gq posts precision on a coordinate no factor informs: its weighted "
+        "sigma-point cloud collapses onto the spokes of the other coordinates, "
+        "so moment matching moves the inert coordinate's precision off the "
+        "prior's 0.04 (at beta 1 and 50: logistic 0.51 and 2.4e16, hinge 5.7 "
+        "and 3.1e19, quasi01 0.25 and 1.3e32)"))
+    @pytest.mark.parametrize("beta", [1.0, 50.0])
+    @pytest.mark.parametrize("loss", [logistic(), hinge(), quasi01()],
+                             ids=lambda loss: loss.name)
+    def test_gq_leaves_an_inert_coordinate_at_the_prior(self, beta, loss):
+        config_ = config("gq", mode="streaming", loss=loss, beta=beta, batch_size=1,
+                         prior=PriorFactor(variance=25.0))
+        state, _ = ep_run(config_, self.edge_dataset())
+        self.assert_inert_coordinate_keeps_the_prior(state.global_approx)
 
 
 class TestEpRun:

@@ -7,7 +7,6 @@ from ffep.gaussian import (
     DiagGaussian,
     ImproperGaussianError,
     MomentMatchError,
-    MomentVector,
     divide,
     eval_log,
     moments_to_natural,
@@ -129,42 +128,53 @@ class TestMultiplyDivide:
 
 class TestMomentConversions:
     def test_standard_normal_moments(self):
-        m = MomentVector(m0=1.0, m1=np.array([0.0]), m2=np.array([1.0]))
-        g = moments_to_natural(m)
+        g = moments_to_natural(1.0, [0.0], [1.0])
         np.testing.assert_allclose(g.precision, [1.0], rtol=1e-14)
         np.testing.assert_allclose(g.linear, [0.0], atol=1e-14)
         np.testing.assert_allclose(g.log_mass, 0.0, atol=1e-14)
 
     def test_worked_scalar_example(self):
-        m = MomentVector(m0=2.0, m1=np.array([2.0]), m2=np.array([3.0]))
-        g = moments_to_natural(m)
+        g = moments_to_natural(2.0, [2.0], [3.0])
         np.testing.assert_allclose(g.mean, [1.0], rtol=1e-14)
         np.testing.assert_allclose(g.variance, [0.5], rtol=1e-14)
         np.testing.assert_allclose(np.exp(g.log_mass), 2.0, rtol=1e-14)
 
     def test_negative_second_moment_rejected(self):
-        m = MomentVector(m0=1.0, m1=np.array([0.0]), m2=np.array([-0.1]))
         with pytest.raises(MomentMatchError):
-            moments_to_natural(m)
+            moments_to_natural(1.0, [0.0], [-0.1])
 
     def test_nonpositive_mass_rejected(self):
-        m = MomentVector(m0=0.0, m1=np.array([0.0]), m2=np.array([1.0]))
         with pytest.raises(MomentMatchError):
-            moments_to_natural(m)
+            moments_to_natural(0.0, [0.0], [1.0])
 
     def test_zero_variance_coordinate_reported(self):
-        m = MomentVector(m0=1.0, m1=np.array([0.0, 1.0]), m2=np.array([1.0, 1.0]))
         with pytest.raises(MomentMatchError) as err:
-            moments_to_natural(m)
+            moments_to_natural(1.0, [0.0, 1.0], [1.0, 1.0])
         assert err.value.coordinate == 1
 
+    def test_mismatched_moment_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            moments_to_natural(1.0, [0.0, 1.0], [1.0])
+        with pytest.raises(ValueError, match="equal-length"):
+            moments_to_natural(1.0, [], [])
+
+    def test_log_shifts_are_added_to_the_log_scale_in_turn(self):
+        plain = moments_to_natural(2.0, [2.0, -1.0], [3.0, 4.0])
+        shifted = moments_to_natural(2.0, [2.0, -1.0], [3.0, 4.0], log_shifts=(0.1, 0.7))
+        # here the grouping shows in the last bit
+        assert plain.log_scale + (0.1 + 0.7) != plain.log_scale + 0.1 + 0.7
+        assert shifted.log_scale == plain.log_scale + 0.1 + 0.7
+        np.testing.assert_array_equal(shifted.linear, plain.linear)
+        np.testing.assert_array_equal(shifted.neg_half_precision,
+                                      plain.neg_half_precision)
+
     def test_natural_to_moments_examples(self):
-        m = natural_to_moments(standard_normal())
-        np.testing.assert_allclose((m.m0, m.m1[0], m.m2[0]), (1.0, 0.0, 1.0),
+        m0, m1, m2 = natural_to_moments(standard_normal())
+        np.testing.assert_allclose((m0, m1[0], m2[0]), (1.0, 0.0, 1.0),
                                    rtol=1e-14, atol=1e-14)
         g = DiagGaussian.from_mean_var([1.0], [0.5], log_mass=np.log(2.0))
-        m = natural_to_moments(g)
-        np.testing.assert_allclose((m.m0, m.m1[0], m.m2[0]), (2.0, 2.0, 3.0),
+        m0, m1, m2 = natural_to_moments(g)
+        np.testing.assert_allclose((m0, m1[0], m2[0]), (2.0, 2.0, 3.0),
                                    rtol=1e-13)
 
     def test_natural_to_moments_requires_proper(self):
@@ -178,7 +188,7 @@ class TestMomentConversions:
         for _ in range(1000):
             d = int(rng.integers(1, 51))
             g = random_proper(rng, d)
-            back = moments_to_natural(natural_to_moments(g))
+            back = moments_to_natural(*natural_to_moments(g))
             np.testing.assert_allclose(back.mean, g.mean, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(back.variance, g.variance, rtol=1e-10)
             np.testing.assert_allclose(back.log_mass, g.log_mass,

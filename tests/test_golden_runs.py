@@ -13,9 +13,14 @@ round differently; a mismatch there is not by itself a defect.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import make_golden_runs
 from make_golden_runs import GOLDEN_PATH, RUN_KEYS, diff_lines, golden_run, load_synthetic306
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -44,3 +49,23 @@ def test_diff_reports_only_the_perturbed_run(synthetic306, tmp_path):
     runs = {key: golden_run(synthetic306, key) for key in RUN_KEYS}
     assert diff_lines(copy, runs) == [
         "looping/hinge/la: max relative move 1e-09, sweep counts match"]
+
+
+def test_diff_exits_1_when_a_run_differs_and_0_when_all_match(monkeypatch, tmp_path, capsys):
+    perturbed = json.loads(GOLDEN_PATH.read_text())
+    run = perturbed["streaming/logistic/gq"]
+    run["sweeps"][0][0] += 1
+    copy = tmp_path / "golden_runs.json"
+    copy.write_text(json.dumps(perturbed))
+    monkeypatch.setattr(make_golden_runs, "GOLDEN_PATH", copy)
+    assert make_golden_runs.main(["--diff"]) == 1
+    assert capsys.readouterr().out == (
+        "streaming/logistic/gq: max relative move 0, sweep counts differ\n")
+    assert json.loads(copy.read_text()) == perturbed  # --diff writes nothing
+
+    script = Path(make_golden_runs.__file__)
+    src = script.parents[1] / "src"
+    done = subprocess.run([sys.executable, str(script), "--diff"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == f"all {len(RUN_KEYS)} runs match golden_runs.json\n"

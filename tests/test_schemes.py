@@ -1,6 +1,7 @@
 """Factor-approximation schemes: quadrature rule, LA, QLA, GQ, VQ."""
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from ffep.factors import BoundFactor, GaussianFactor
 from ffep.gaussian import (
     DiagGaussian,
     ImproperGaussianError,
-    MomentVector,
+    MomentMatchError,
     divide,
     eval_log,
+    moments_to_natural,
     multiply,
 )
 from ffep.ingest import Dataset
@@ -82,6 +84,9 @@ def single_example_factor(loss, x, y=1.0):
     return BoundFactor(ds, batch=[0], loss=loss)
 
 
+Moments = namedtuple("Moments", "m0 m1 m2")  # raw moments of order 0, 1, 2
+
+
 def quadrature_moments(cavity, factor):
     """Sigma-point estimate of the order-0/1/2 moments of cavity*factor.
 
@@ -93,8 +98,46 @@ def quadrature_moments(cavity, factor):
     rule = build_rule(cavity)
     logf = factor.log_value_many(rule.points)
     wf = rule.weights * np.exp(logf) * float(np.exp(cavity.log_mass))
-    return MomentVector(float(np.sum(wf)), wf @ rule.points,
-                        wf @ (rule.points * rule.points))
+    return Moments(float(np.sum(wf)), wf @ rule.points, wf @ (rule.points * rule.points))
+
+
+def gq_by_composition(cavity, factor):
+    """approx_gauss_quadrature written out step by step, as the reference
+    that pins its arithmetic bit for bit.
+
+    The sigma points are the cavity mean tiled 2d+1 times, offset by
+    +/- np.diag(gamma*sigma); the matched Gaussian comes from the moments'
+    mean and variance and then takes the log scale shifted by
+    shift + cavity.log_mass; then the cavity is divided out.  Unmatchable
+    moments raise MomentMatchError with moments_to_natural's text.
+    """
+    d, nhp = cavity.dim, cavity.neg_half_precision
+    assert (nhp < 0).all()
+    cav_var, cav_mean = -0.5 / nhp, cavity.linear * (-0.5 / nhp)
+    gamma = default_gamma(d)
+    pts = np.tile(cav_mean, (2 * d + 1, 1))
+    offs = gamma * np.sqrt(cav_var)
+    pts[1 : d + 1] += np.diag(offs)
+    pts[d + 1 :] -= np.diag(offs)
+    w = np.full(2 * d + 1, 1.0 / (2.0 * gamma * gamma))
+    w[0] = 1.0 - d / (gamma * gamma)
+    logf = factor.log_value_many(pts)
+    shift = float(np.max(logf))
+    wf = w * np.exp(logf - shift)
+    m0, m1, m2 = float(np.sum(wf)), wf @ pts, wf @ (pts * pts)
+    mean = m1 / m0
+    var = m2 / m0 - mean**2
+    if np.any(var <= 0) or not np.all(np.isfinite(var)):
+        bad = int(np.argmin(var)) if np.all(np.isfinite(var)) else int(
+            np.argmax(~np.isfinite(var)))
+        raise MomentMatchError(f"coordinate {bad} implies nonpositive variance {var[bad]:g}",
+                               coordinate=bad)
+    log_scale = float(np.log(m0)) - 0.5 * float(
+        np.sum(np.log(2.0 * np.pi * var) + mean**2 / var))
+    cavity_log_mass = cavity.log_scale + 0.5 * float(
+        np.sum(np.log(2.0 * np.pi * cav_var) + cav_mean**2 / cav_var))
+    matched = DiagGaussian(log_scale + shift + cavity_log_mass, mean / var, -0.5 / var)
+    return divide(matched, cavity)
 
 
 def generalized_kl_diagnostic(cavity, factor, message):
@@ -159,6 +202,36 @@ class TestQuadratureRule:
     def test_improper_cavity_rejected(self):
         improper = DiagGaussian(log_scale=0.0, linear=np.zeros(2),
                                 neg_half_precision=np.array([-0.5, 0.1]))
+        with pytest.raises(ImproperGaussianError):
+            build_rule(improper)
+
+    @pytest.mark.parametrize("d", [1, 100])
+    def test_each_spoke_moves_only_its_own_axis(self, d):
+        """Row 0 is the mean; spoke i is the mean with coordinate i moved by
+        exactly +/- gamma*sigma_i, as adding np.diag(gamma*sigma) gives it.
+
+        A -0.0 mean coordinate stays -0.0 off its own axis, where adding the
+        diagonal's +0.0 made it +0.0; np.array_equal takes both.
+        """
+        rng = np.random.default_rng(14 + d)
+        cavity = random_cavity(rng, d)
+        mean = cavity.mean.copy()
+        mean[0] = -0.0
+        cavity = DiagGaussian.from_mean_var(mean, cavity.variance)
+        for gamma in (None, 0.7):
+            rule = build_rule(cavity, gamma=gamma)
+            g = default_gamma(d) if gamma is None else gamma
+            assert rule.points.shape == (2 * d + 1, d) and rule.gamma == g
+            assert np.array_equal(rule.points[0], cavity.mean)
+            spokes = np.diag(g * np.sqrt(cavity.variance))
+            center = np.tile(cavity.mean, (d, 1))
+            assert np.array_equal(rule.points[1 : d + 1], center + spokes)
+            assert np.array_equal(rule.points[d + 1 :], center - spokes)
+            expected = np.full(2 * d + 1, 1.0 / (2.0 * g * g))
+            expected[0] = 1.0 - d / (g * g)
+            assert np.array_equal(rule.weights, expected)
+        improper = DiagGaussian(0.0, cavity.linear,
+                                np.where(np.arange(d) == d - 1, 0.0, cavity.neg_half_precision))
         with pytest.raises(ImproperGaussianError):
             build_rule(improper)
 
@@ -689,9 +762,8 @@ class TestQuickLaplace:
 class TestGaussQuadrature:
     def test_constant_factor_worked_example(self):
         cavity = DiagGaussian.from_mean_var([0.0], [1.0])
-        moments = quadrature_moments(cavity, constant_factor(np.log(2.0), 1))
-        np.testing.assert_allclose((moments.m0, moments.m1[0], moments.m2[0]),
-                                   (2.0, 0.0, 2.0), atol=1e-12)
+        m0, m1, m2 = quadrature_moments(cavity, constant_factor(np.log(2.0), 1))
+        np.testing.assert_allclose((m0, m1[0], m2[0]), (2.0, 0.0, 2.0), atol=1e-12)
         msg = approx_gauss_quadrature(cavity, constant_factor(np.log(2.0), 1))
         assert msg.log_scale == pytest.approx(np.log(2.0), abs=1e-10)
         np.testing.assert_allclose(msg.linear, 0.0, atol=1e-10)
@@ -702,14 +774,14 @@ class TestGaussQuadrature:
         for _ in range(10):
             cavity = random_cavity(rng, 1)
             log_c_val = float(rng.uniform(-1.0, 1.0))
-            moments = quadrature_moments(cavity, constant_factor(log_c_val, 1))
+            m0, m1, m2 = quadrature_moments(cavity, constant_factor(log_c_val, 1))
             mean, sd = float(cavity.mean[0]), float(np.sqrt(cavity.variance[0]))
             oracle = dense_moments_1d(
                 lambda x: log_gauss_1d(x, mean, sd * sd, cavity.log_mass),
                 lambda x: np.full_like(x, log_c_val),
                 center=mean, halfwidth=8.0 * sd)
             np.testing.assert_allclose(
-                (moments.m0, moments.m1[0], moments.m2[0]), oracle,
+                (m0, m1[0], m2[0]), oracle,
                 rtol=1e-8, atol=1e-10)
 
     def test_curved_factor_moments_differ_from_dense_oracle(self):
@@ -717,12 +789,12 @@ class TestGaussQuadrature:
         must show a visible moment discrepancy against dense integration."""
         cavity = DiagGaussian.from_mean_var([0.0], [1.0])
         g = DiagGaussian.from_mean_var([1.0], [0.25])
-        moments = quadrature_moments(cavity, GaussianFactor(g))
+        m0, _, _ = quadrature_moments(cavity, GaussianFactor(g))
         oracle = dense_moments_1d(
             lambda x: log_gauss_1d(x, 0.0, 1.0),
             lambda x: log_gauss_1d(x, 1.0, 0.25),
             center=0.0, halfwidth=8.0)
-        assert abs(moments.m0 - oracle[0]) > 1e-4
+        assert abs(m0 - oracle[0]) > 1e-4
 
     def test_division_by_cavity_is_exact_in_natural_parameters(self):
         rng = np.random.default_rng(41)
@@ -730,12 +802,45 @@ class TestGaussQuadrature:
         factor = random_gaussian_factor(rng, cavity)
         msg = approx_gauss_quadrature(cavity, factor)
         recombined = multiply(cavity, msg)
-        moments = quadrature_moments(cavity, factor)
-        from ffep.gaussian import moments_to_natural
-        matched = moments_to_natural(moments)
+        matched = moments_to_natural(*quadrature_moments(cavity, factor))
         np.testing.assert_allclose(recombined.linear, matched.linear, rtol=1e-12)
         np.testing.assert_allclose(recombined.neg_half_precision,
                                    matched.neg_half_precision, rtol=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 10])
+    @pytest.mark.parametrize("d", [1, 4, 20])
+    def test_matches_the_composed_moment_match_bit_for_bit(self, d, rows):
+        """Every message, and every failure's text, equals gq_by_composition's.
+
+        At beta = 50 most batches drive a variance estimate nonpositive, so
+        both paths are exercised on every (d, rows).
+        """
+        rng = np.random.default_rng(1000 * d + rows)
+        outcomes = set()
+        for loss in (logistic(), hinge(), quasi01()):
+            for beta in (1.0, 50.0):
+                for _ in range(3):
+                    labels = np.where(rng.normal(size=rows) < 0, -1.0, 1.0)
+                    factor = BoundFactor(Dataset(rng.normal(size=(rows, d)), labels),
+                                         np.arange(rows), loss, beta)
+                    cavity = random_cavity(rng, d)
+                    try:
+                        expected = gq_by_composition(cavity, factor)
+                    except MomentMatchError as exc:
+                        assert str(exc).startswith(f"coordinate {exc.coordinate} implies "
+                                                   "nonpositive variance ")
+                        with pytest.raises(SchemeFailure) as err:
+                            approx_gauss_quadrature(cavity, factor)
+                        assert str(err.value) == f"quadrature moments not matchable: {exc}"
+                        outcomes.add("failed")
+                        continue
+                    msg = approx_gauss_quadrature(cavity, factor)
+                    assert msg.log_scale == expected.log_scale
+                    np.testing.assert_array_equal(msg.linear, expected.linear)
+                    np.testing.assert_array_equal(msg.neg_half_precision,
+                                                  expected.neg_half_precision)
+                    outcomes.add("matched")
+        assert outcomes == {"matched", "failed"}
 
     def test_vanishing_factor_raises_scheme_failure(self):
         class ZeroFactor:
