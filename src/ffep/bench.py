@@ -7,9 +7,10 @@ Newton's method.  Hinge cost is minimized exactly through its dual, the box
 QP ``la`` solves per hinge batch, and the duality gap certifies the answer.
 The nonconvex quasi 0-1 cost is minimized by Powell's direction set, whose
 line searches are exact because the objective along a line is piecewise
-quadratic.  Trace files instead report the classification cost alone,
-which is how training curves are usually drawn; manifests record both
-numbers so the two views can always be reconciled.
+quadratic (``schemes._line_minimize``, which ``la`` also uses).  Trace
+files instead report the classification cost alone, which is how training
+curves are usually drawn; manifests record both numbers so the two views
+can always be reconciled.
 
 Outputs of run_experiment, all under the configured directory:
 
@@ -36,7 +37,7 @@ from .engine import EpConfig, EpTrace, _require_integer, classification_costs, e
 from .factors import PriorFactor
 from .ingest import ColumnSchema, Dataset, load_csv, preprocess
 from .losses import LossKind, loss_derivatives, loss_kinks
-from .schemes import SchemeKind, _box_qp
+from .schemes import SchemeKind, _box_qp, _line_minimize
 
 __all__ = [
     "RunConfig",
@@ -104,48 +105,6 @@ class PowellResult:
     n_line_searches: int
 
 
-def _line_minimize(objective, Z, kinks, prior: PriorFactor, theta, direction, f0):
-    """Exact minimization of t -> objective(theta + t*direction); never moves uphill.
-
-    The margins along the line are a + t*b, with a = Z theta and b = Z
-    direction, so the loss sum is piecewise linear in t: where margin k
-    crosses a kink, at t = (kink - a_k) / b_k, its slope jumps by jump * |b_k|.
-    The prior adds c1*t + c2*t^2 with c2 > 0, so the minimum is the best of
-    the segments' vertices, each clipped to its segment.  That point is kept
-    only when ``objective`` there is below ``f0``.
-    """
-    left_slope, kink_at, jumps = kinks
-    a, b = Z @ theta, Z @ direction
-    a, b = a[b != 0], b[b != 0]
-    breaks = ((kink_at[:, None] - a) / b).ravel()
-    order = np.argsort(breaks)
-    breaks = breaks[order]
-    c1 = float(theta @ direction) / prior.variance
-    c2 = float(direction @ direction) / (2.0 * prior.variance)
-    # slopes[j] is the slope of the loss sum plus c1*t between breaks[j-1] and
-    # breaks[j].  Left of every breakpoint, margins with b > 0 lie left of
-    # every kink and those with b < 0 right of every kink.
-    far_left = left_slope * b.sum() + jumps.sum() * b[b < 0].sum()
-    slopes = np.cumsum(np.concatenate(
-        ([c1 + far_left], (jumps[:, None] * np.abs(b)).ravel()[order])))
-    # The linear part's change from t = 0 to each breakpoint, summed outward
-    # from the segment holding 0 so that far breakpoints add no rounding near it.
-    k0 = int(np.searchsorted(breaks, 0.0))
-    right = np.cumsum(slopes[k0:-1] * np.diff(breaks[k0:], prepend=0.0))
-    left = np.cumsum(slopes[k0:0:-1] * np.diff(breaks[:k0][::-1], prepend=0.0))[::-1]
-    edges = np.concatenate(([-np.inf], breaks, [np.inf]))
-    t = np.clip(-slopes / (2.0 * c2), edges[:-1], edges[1:])
-    change = (np.concatenate((left, [0.0], right))
-              + slopes * (t - np.insert(breaks, k0, 0.0)) + c2 * t * t)
-    best = int(np.argmin(change))
-    if change[best] < 0.0:
-        moved = theta + float(t[best]) * direction
-        f = objective(moved)
-        if f < f0:
-            return moved, f
-    return theta, f0
-
-
 def reference_powell(dataset: Dataset, loss: LossKind, theta_init,
                      prior: PriorFactor | None = None) -> PowellResult:
     """Powell direction-set minimization of total cost plus the prior term.
@@ -168,6 +127,12 @@ def reference_powell(dataset: Dataset, loss: LossKind, theta_init,
     def objective(t):
         return total_cost(t, dataset, loss, prior)
 
+    def line_minimize(theta, direction, f0):
+        # the prior term changes by c1*t + c2*t^2 along the line
+        c1 = float(theta @ direction) / prior.variance
+        c2 = float(direction @ direction) / (2.0 * prior.variance)
+        return _line_minimize(objective, Z, kinks, theta, direction, f0, c1, c2, 1.0)
+
     theta = np.asarray(theta_init, dtype=float).copy()
     d = theta.size
     dirs = [np.eye(d)[i].copy() for i in range(d)]
@@ -180,7 +145,7 @@ def reference_powell(dataset: Dataset, loss: LossKind, theta_init,
         biggest_drop, drop_index = 0.0, -1
         for i, u in enumerate(dirs):
             f_before = f0
-            theta, f0 = _line_minimize(objective, Z, kinks, prior, theta, u, f0)
+            theta, f0 = line_minimize(theta, u, f0)
             n_ls += 1
             if f_before - f0 > biggest_drop:
                 biggest_drop, drop_index = f_before - f0, i
@@ -201,7 +166,7 @@ def reference_powell(dataset: Dataset, loss: LossKind, theta_init,
                     - biggest_drop * (f_start - f_extrap) ** 2
                 )
                 if test < 0.0:
-                    theta, f0 = _line_minimize(objective, Z, kinks, prior, theta, composite, f0)
+                    theta, f0 = line_minimize(theta, composite, f0)
                     n_ls += 1
                     dirs[drop_index] = dirs[-1]
                     dirs[-1] = composite

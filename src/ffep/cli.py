@@ -9,7 +9,7 @@ Subcommands:
 Run configs are JSON; every field has a default aimed at the bundled
 synthetic dataset, and the flags --scheme, --loss, --batch-size, --sweeps,
 --mode and --out override the file.  Exit codes: 0 success, 1 usage
-error, 2 data error, 3 at least one run failed.
+error, 2 data error, 3 at least one run or reference failed.
 """
 
 from __future__ import annotations
@@ -275,7 +275,12 @@ def _cmd_reference(args) -> int:
     losses, prior = _losses_and_prior(s)
     out = Path(_typed(s, "out", str, "a string"))
     dataset = preprocess(load_csv(path, schema), name=name)
-    refs = _compute_references(dataset, losses, prior)
+    try:
+        refs = _compute_references(dataset, losses, prior)
+    except RuntimeError as exc:
+        failure = {"stage": "reference", "error": str(exc)}  # as ``ffep run`` reports it
+        print(f"FAILED: {failure}", file=sys.stderr)
+        return _RUNS_FAILED
     for loss_name, ref in refs.items():
         gap = "n/a" if ref["duality_gap"] is None else f"{ref['duality_gap']:.2e}"
         print(f"{loss_name:>8s}  cost={ref['cost']:.6f}  converged={ref['converged']}  "

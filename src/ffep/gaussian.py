@@ -188,13 +188,13 @@ def moments_to_natural(m0, m1, m2, log_shifts=()) -> DiagGaussian:
     mean = m1 / m0
     var = m2 / m0 - mean**2
     if not ((var > 0.0).all() and np.isfinite(var).all()):
-        bad = int(np.argmin(var)) if np.all(np.isfinite(var)) else int(
-            np.argmax(~np.isfinite(var))
-        )
-        raise MomentMatchError(
-            f"coordinate {bad} implies nonpositive variance {var[bad]:g}",
-            coordinate=bad,
-        )
+        finite = np.isfinite(var)
+        if finite.all():
+            bad, kind = int(np.argmin(var)), "nonpositive"
+        else:
+            bad, kind = int(np.argmax(~finite)), "non-finite"
+        raise MomentMatchError(f"coordinate {bad} implies {kind} variance {var[bad]:g}",
+                               coordinate=bad)
     return _from_checked_mean_var(mean, var, float(np.log(m0)), log_shifts)
 
 

@@ -15,6 +15,8 @@ Conventions:
 * the token "?" (or an empty field) marks a missing value: in a categorical
   column it becomes a level of its own, in a numeric column the whole row is
   dropped and the drop count logged;
+* a numeric token that parses to a non-finite number ("nan", "inf",
+  "1e400") is a data error naming its row and column;
 * a constant raw column is all zeros after centering and is retained as-is
   (norm left at 0), preserving column indexing; a zero feature is inert in
   every loss.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +144,8 @@ def load_csv(path, schema: ColumnSchema) -> RawTable:
     ``np.loadtxt``.  Whatever that parse rejects (a missing or malformed
     token, an unknown label, a ragged row) is read again row by row, which
     drops rows with missing numeric values and raises DataLoadError naming
-    the offending row on unparseable numeric tokens or unmapped label
-    values.
+    the offending row on unparseable or non-finite numeric tokens or
+    unmapped label values.
     """
     if not schema.categorical:
         try:
@@ -178,8 +181,11 @@ def _load_block(path, schema: ColumnSchema) -> RawTable:
         skiprows=header_lines if schema.has_header else 0,
         converters={label_i: lambda tok: label_map[tok.strip()]},
     )
+    columns = np.ascontiguousarray(block[:, numeric])
+    if not np.isfinite(columns).all():
+        raise ValueError("non-finite numeric value")
     return RawTable(
-        columns=np.ascontiguousarray(block[:, numeric]),
+        columns=columns,
         column_names=tuple(str(c) for _, c in numeric_i),
         labels=block[:, label_i].copy(),
     )
@@ -222,11 +228,16 @@ def _load_rows(path, schema: ColumnSchema) -> RawTable:
                 drop = True
                 break
             try:
-                nums.append(float(t))
+                value = float(t)
             except ValueError:
                 raise DataLoadError(
                     f"{path}: row {rowno} has non-numeric value {t!r} in column {cname!r}"
                 )
+            if not math.isfinite(value):
+                raise DataLoadError(
+                    f"{path}: row {rowno} has non-finite value {t!r} in column {cname!r}"
+                )
+            nums.append(value)
         if drop:
             n_dropped += 1
             continue

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["LossKind", "logistic", "hinge", "quasi01", "loss_from_name",
-           "loss_kinks", "is_piecewise_linear", "loss_value", "loss_derivatives"]
+           "loss_kinks", "loss_value", "loss_derivatives"]
 
 _VALID = ("logistic", "hinge", "quasi01")
 
@@ -73,11 +73,6 @@ def loss_kinks(kind: LossKind) -> tuple[float, np.ndarray, np.ndarray] | None:
         eps = kind.epsilon
         return -eps, np.array([0.0, eps]), np.array([eps - 1.0 / eps, 1.0 / eps])
     return None
-
-
-def is_piecewise_linear(kind: LossKind) -> bool:
-    """True for the kinked losses, whose curvature is zero away from the kinks."""
-    return loss_kinks(kind) is not None
 
 
 def loss_value(kind: LossKind, a):

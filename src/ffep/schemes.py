@@ -7,12 +7,14 @@ standing in for f.  A factor exposes ``log_value(theta)`` and
 ``qla`` also call ``log_grad_hessdiag(theta)``, the gradient and Hessian
 diagonal of log f.  A factor may add a margin-space view, ``loss``,
 ``beta`` and ``Z`` with log f(theta) = -beta * sum of loss(Z @ theta), as
-``factors.BoundFactor`` does; ``la`` solves hinge batches through it.
+``factors.BoundFactor`` does; ``la`` solves kinked batches through it.
 
 * ``la``  - Laplace: find the maximizer of c*f, then fit the second-order
             Taylor expansion of log f there.  A hinge batch's maximizer
             solves a box QP exactly; other factors use damped diagonal
-            Newton.  A piecewise-linear loss takes its slope from the mode.
+            Newton, whose line search is exact on the other piecewise-linear
+            losses (quasi 0-1) and step halving on the rest.  A
+            piecewise-linear loss takes its slope from the mode.
 * ``qla`` - quick Laplace: the same Taylor fit taken at the cavity mean,
             skipping the inner optimization entirely (and therefore
             independent of the cavity variance).
@@ -48,7 +50,7 @@ from .gaussian import (
     eval_log,
     moments_to_natural,
 )
-from .losses import LossKind, is_piecewise_linear
+from .losses import LossKind, loss_kinks
 
 __all__ = [
     "QuadratureRule",
@@ -120,6 +122,7 @@ class QuadratureRule:
     points: np.ndarray  # (2d+1, d): center, then +gamma spokes, then -gamma spokes
     weights: np.ndarray  # (2d+1,)
     gamma: float
+    offsets: np.ndarray  # (d,): gamma * sigma_i, how far the spokes on axis i reach
 
 
 def default_gamma(d: int) -> float:
@@ -145,7 +148,7 @@ def build_rule(cavity: DiagGaussian, gamma: float | None = None) -> QuadratureRu
     pts[d + 1 :].reshape(-1)[:: d + 1] = mu - offs
     w = np.full(2 * d + 1, 1.0 / (2.0 * g * g))
     w[0] = 1.0 - d / (g * g)
-    return QuadratureRule(points=pts, weights=w, gamma=g)
+    return QuadratureRule(points=pts, weights=w, gamma=g, offsets=offs)
 
 
 def _sigma_log_values(cavity: DiagGaussian, factor, gamma: float | None):
@@ -170,19 +173,29 @@ def _taylor_message(theta, value, grad, hessdiag) -> DiagGaussian:
     return DiagGaussian(log_scale, linear, nhp)
 
 
-def _newton_mode(cavity: DiagGaussian, factor, scheme: SchemeKind) -> np.ndarray:
+def _newton_mode(cavity: DiagGaussian, factor, scheme: SchemeKind, kinks) -> np.ndarray:
     """Maximize log(c*f) by damped Newton on its diagonal curvature.
 
     The curvature is the cavity precision plus the factor's Hessian
-    diagonal, and the search starts from the cavity mean.  Each iteration
-    tries the full Newton step first; if that lowers the objective, the
-    halved steps 2^-1 ... 2^-(_MAX_HALVINGS-1) are scored and the longest
-    one that does not lower it is taken, all of them scored in one
-    ``log_value_many`` call.  When none qualifies, no ascent is left along
-    the Newton direction and the search has converged.  A full step that
-    lowers the objective by at most 4 ulps is a tie, and the search has
-    converged too: which side of the tie it lands on is rounding, as are
-    the halved steps' values.
+    diagonal, and the search starts from the cavity mean.
+
+    ``kinks`` is ``losses.loss_kinks`` of the factor's margin-view loss, or
+    None.  With kinks the loss is piecewise linear, so the factor's
+    curvature is zero and the Newton step is u = grad/L, L the cavity
+    precision.  Minus log(c*f) along theta + t*u is then
+    beta * sum loss(Z theta + t Z u) plus c1*t + c2*t^2, with
+    c1 = sum L (theta - mu) u and c2 = 1/2 sum L u^2, and _line_minimize
+    finds its exact minimizer.  When that point does not move, the search
+    has converged.
+
+    Without kinks each iteration tries the full Newton step first; if that lowers the
+    objective, the halved steps 2^-1 ... 2^-(_MAX_HALVINGS-1) are scored and
+    the longest one that does not lower it is taken, all of them scored in
+    one ``log_value_many`` call.  When none qualifies, no ascent is left
+    along the Newton direction and the search has converged.  A full step
+    that lowers the objective by at most 4 ulps is a tie, and the search has
+    converged too: which side of the tie it lands on is rounding, as are the
+    halved steps' values.
     """
     tol = scheme.newton_tol
     theta = cavity.mean.copy()
@@ -191,30 +204,88 @@ def _newton_mode(cavity: DiagGaussian, factor, scheme: SchemeKind) -> np.ndarray
     if not np.isfinite(obj):
         raise SchemeFailure("objective not finite at the cavity mean")
 
+    def neg_log_tilted(point):
+        return -(eval_log(cavity, point) + factor.log_value(point))
+
     for _ in range(scheme.newton_max_iter):
         grad_f, hd_f = factor.log_grad_hessdiag(theta)
-        grad = cavity.linear + 2.0 * cavity.neg_half_precision * theta + grad_f
+        grad_c = cavity.linear + 2.0 * cavity.neg_half_precision * theta
+        grad = grad_c + grad_f
         hess = 2.0 * cavity.neg_half_precision + hd_f
         hess = np.where(hess < -1e-12, hess, -lam)
         step = -grad / hess
         if not np.all(np.isfinite(step)):
             raise SchemeFailure("non-finite Newton step in Laplace maximization")
-        t = 1.0
-        cand = theta + step
-        val = eval_log(cavity, cand) + factor.log_value(cand)
-        if not (np.isfinite(val) and val >= obj):
-            if obj - val <= 4.0 * np.spacing(abs(obj)):
-                return theta  # the full step changes the objective by rounding only
-            cands = theta + _HALVINGS[:, None] * step
-            vals = eval_log(cavity, cands) + factor.log_value_many(cands)
-            ok = np.flatnonzero(np.isfinite(vals) & (vals >= obj))
-            if not ok.size:
-                return theta  # no ascent available along the Newton direction
-            t, cand, val = _HALVINGS[ok[0]], cands[ok[0]], vals[ok[0]]
+        if kinks is not None:  # c1 = -grad_c . u, as grad_c = L (mu - theta)
+            cand, neg = _line_minimize(neg_log_tilted, factor.Z, kinks, theta, step, -obj,
+                                       -float(grad_c @ step), 0.5 * float(lam @ (step * step)),
+                                       factor.beta)
+            if cand is theta:
+                return theta  # the exact minimizer along the Newton direction stays put
+            step, val = cand - theta, -neg
+        else:
+            cand = theta + step
+            val = eval_log(cavity, cand) + factor.log_value(cand)
+            if not (np.isfinite(val) and val >= obj):
+                if obj - val <= 4.0 * np.spacing(abs(obj)):
+                    return theta  # the full step changes the objective by rounding only
+                cands = theta + _HALVINGS[:, None] * step
+                vals = eval_log(cavity, cands) + factor.log_value_many(cands)
+                ok = np.flatnonzero(np.isfinite(vals) & (vals >= obj))
+                if not ok.size:
+                    return theta  # no ascent available along the Newton direction
+                step, cand, val = _HALVINGS[ok[0]] * step, cands[ok[0]], vals[ok[0]]
         theta, obj = cand, val
-        if np.all(np.abs(t * step) <= tol * np.maximum(1.0, np.abs(theta))):
+        if np.all(np.abs(step) <= tol * np.maximum(1.0, np.abs(theta))):
             return theta
     raise SchemeFailure("Laplace maximization did not converge")
+
+
+def _line_minimize(objective, Z, kinks, theta, direction, f0, c1, c2, beta):
+    """Exact minimization of t -> objective(theta + t*direction); never moves uphill.
+
+    Along the line ``objective`` is beta * sum of loss(Z (theta +
+    t*direction)) plus c1*t + c2*t^2 and a constant, ``kinks`` being the
+    loss's shape (``losses.loss_kinks``).  The margins along the line are
+    a + t*b, with a = Z theta and b = Z direction, so the loss sum is
+    piecewise linear in t: where margin k crosses a kink, at
+    t = (kink - a_k) / b_k, its slope jumps by jump * |b_k|.  With c2 > 0 the
+    minimum is the best of the segments' vertices, each clipped to its
+    segment.  That point is kept only when ``objective`` there is below
+    ``f0``.  A line with c2 = 0, as a zero direction has, is left alone.
+    """
+    if not c2 > 0.0:
+        return theta, f0
+    left_slope, kink_at, jumps = kinks
+    a, b = Z @ theta, Z @ direction
+    moving = b != 0
+    a, b = a[moving], b[moving]
+    breaks = ((kink_at[:, None] - a) / b).ravel()
+    order = breaks.argsort()
+    breaks = breaks[order]
+    # slopes[j] is the slope of the loss sum plus c1*t between breaks[j-1] and
+    # breaks[j].  Left of every breakpoint, margins with b > 0 lie left of
+    # every kink and those with b < 0 right of every kink.
+    far_left = beta * (left_slope * b.sum() + jumps.sum() * b[b < 0].sum())
+    slopes = np.concatenate(
+        ([c1 + far_left], (beta * jumps[:, None] * np.abs(b)).ravel()[order])).cumsum()
+    # The linear part's change from t = 0 to each breakpoint, summed outward
+    # from the segment holding 0 so that far breakpoints add no rounding near
+    # it.  knots[j] is the end of segment j nearest to 0, or 0 itself.
+    k0 = int(breaks.searchsorted(0.0))
+    knots = np.concatenate((breaks[:k0], [0.0], breaks[k0:]))
+    right = (slopes[k0:-1] * (knots[k0 + 1 :] - knots[k0:-1])).cumsum()
+    left = (slopes[1 : k0 + 1] * (knots[:k0] - knots[1 : k0 + 1]))[::-1].cumsum()[::-1]
+    edges = np.concatenate(([-np.inf], breaks, [np.inf]))
+    t = np.minimum(np.maximum(-slopes / (2.0 * c2), edges[:-1]), edges[1:])
+    change = np.concatenate((left, [0.0], right)) + slopes * (t - knots) + c2 * t * t
+    best = int(change.argmin())
+    if change[best] < 0.0:
+        moved = theta + float(t[best]) * direction
+        f = objective(moved)
+        if f < f0:
+            return moved, f
+    return theta, f0
 
 
 def _box_qp(Zw: np.ndarray, Z: np.ndarray, b: np.ndarray, hi: float,
@@ -336,7 +407,9 @@ def approx_laplace(cavity: DiagGaussian, factor, scheme: SchemeKind | None = Non
     ``BoundFactor`` has) on the hinge loss has its maximizer solved exactly
     as a box QP (_hinge_mode).  Every other factor takes the damped Newton
     search of _newton_mode, which ``newton_tol`` and ``newton_max_iter``
-    drive.
+    drive: on another piecewise-linear loss (quasi 0-1) each Newton
+    direction is searched exactly through the margin view, and smooth and
+    black-box factors halve their steps.
 
     On a piecewise-linear loss the mode often sits on kinks, where the
     factor's one-sided slope is arbitrary and its curvature zero.  The
@@ -347,15 +420,15 @@ def approx_laplace(cavity: DiagGaussian, factor, scheme: SchemeKind | None = Non
     """
     scheme = scheme or SchemeKind("la")
     loss = getattr(factor, "loss", None)
-    kinked = isinstance(loss, LossKind) and is_piecewise_linear(loss)
-    if kinked and loss.name == "hinge":
+    kinks = loss_kinks(loss) if isinstance(loss, LossKind) else None
+    if kinks is not None and loss.name == "hinge":
         theta, grad_f = _hinge_mode(cavity, factor.Z, factor.beta)
     else:
-        theta = _newton_mode(cavity, factor, scheme)
-        if kinked:
+        theta = _newton_mode(cavity, factor, scheme, kinks)
+        if kinks is not None:
             grad_f = -(cavity.linear + 2.0 * cavity.neg_half_precision * theta)
     value = factor.log_value(theta)
-    if kinked:
+    if kinks is not None:
         hd_f = np.zeros_like(theta)
     else:
         grad_f, hd_f = factor.log_grad_hessdiag(theta)
@@ -427,10 +500,10 @@ def approx_variational_quadrature(cavity: DiagGaussian, factor,
     """
     scheme = scheme or SchemeKind("vq")
     rule, logf = _sigma_log_values(cavity, factor, scheme.gamma)
-    d = cavity.dim
-    h = rule.gamma * np.sqrt(cavity.variance)
+    h = rule.offsets
+    d = h.size
     l0, lp, lm = logf[0], logf[1 : d + 1], logf[d + 1 :]
-    return _taylor_message(cavity.mean, l0, (lp - lm) / (2.0 * h), (lp + lm - 2.0 * l0) / (h * h))
+    return _taylor_message(rule.points[0], l0, (lp - lm) / (2.0 * h), (lp + lm - 2.0 * l0) / (h * h))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ Usage: ``PYTHONPATH=src python tests/make_golden_runs.py [--diff]``
 
 With ``--diff`` it recomputes every run and writes nothing: for each run
 that differs from the file it prints the largest relative move over the
-final naturals and the last cost, and whether the per-sweep counts match.
-It exits 1 when any run differs and 0 when all match.
+final naturals and the last cost, the old and new last cost, whether the
+per-sweep counts match, and the old and new counts (applied/rejected/
+scheme_failed per sweep).  It exits 1 when any run differs and 0 when all
+match.
 
 Every loss x scheme pair runs on the bundled synthetic306 table with the
 ``ffep run`` defaults (s = 10, beta = 1, prior variance 25, quasi 0-1
@@ -77,8 +79,15 @@ def diff_lines(golden_path: Path, runs: dict) -> list[str]:
             with np.errstate(divide="ignore", invalid="ignore"):
                 move = np.where(old == new, 0.0, np.abs(new - old) / np.abs(old))
             same = "match" if run["sweeps"] == golden[key]["sweeps"] else "differ"
-            lines.append(f"{key}: max relative move {move.max():.2g}, sweep counts {same}")
+            lines.append(f"{key}: max relative move {move.max():.2g}, "
+                         f"last_cost {float(old[-1])!r} -> {float(new[-1])!r}, sweep counts {same} "
+                         f"({_counts(golden[key])} -> {_counts(run)})")
     return lines
+
+
+def _counts(run: dict) -> str:
+    """A run's per-sweep status counts, as applied/rejected/scheme_failed per sweep."""
+    return " ".join("/".join(str(n) for n in sweep) for sweep in run["sweeps"])
 
 
 def main(argv=None) -> int:

@@ -30,7 +30,7 @@ from ffep.engine import EpTrace, TraceRecord
 from ffep.factors import PriorFactor
 from ffep.ingest import ColumnSchema, Dataset, bundled_synthetic_path
 from ffep.losses import hinge, logistic, loss_kinks, loss_value, quasi01
-from ffep.schemes import SchemeKind
+from ffep.schemes import SchemeKind, _line_minimize
 
 from oracles import grid_min_2d
 
@@ -53,6 +53,11 @@ SYNTH_HINGE_COST_WITH_PRIOR = 155.81329671328663
 # Powell value above stops 2.15e-5 relative above its objective.
 SYNTH_HINGE_EXACT_COST = 154.29177718833
 SYNTH_QUASI01_COST = 74.08285810797496
+# Powell's quasi 0-1 answer from the logistic start, bit for bit, and the
+# number of line searches it took.
+SYNTH_QUASI01_THETA = ("-0x1.2ae3754ef0195p+0", "0x1.6e687fb36da4ep-1",
+                       "-0x1.754a766e36393p+2", "0x1.02bbaa7f69169p-1")
+SYNTH_QUASI01_LINE_SEARCHES = 54
 
 PRIOR = PriorFactor(variance=25.0)
 
@@ -209,6 +214,8 @@ class TestPowellReference:
         assert result.converged
         cls = total_cost(result.theta, synthetic_dataset, quasi01(0.1))
         assert cls == pytest.approx(SYNTH_QUASI01_COST, rel=1e-9)
+        assert [float(v).hex() for v in result.theta] == list(SYNTH_QUASI01_THETA)
+        assert result.n_line_searches == SYNTH_QUASI01_LINE_SEARCHES
 
     def test_quasi01_lands_near_scipy_powell(self, synthetic_dataset):
         # Non-convex objective: the two implementations settle in nearby
@@ -295,8 +302,15 @@ def kinked_line(loss, reach):
     return Dataset(features=labels[:, None] * Z, labels=labels), theta, direction
 
 
+def powell_line(objective, z, loss, prior, theta, direction, f0):
+    """schemes._line_minimize as Powell calls it: the prior is the quadratic, beta = 1."""
+    c1 = float(theta @ direction) / prior.variance
+    c2 = float(direction @ direction) / (2.0 * prior.variance)
+    return _line_minimize(objective, z, loss_kinks(loss), theta, direction, f0, c1, c2, 1.0)
+
+
 class TestLineMinimizer:
-    """bench._line_minimize, the exact search along one Powell line."""
+    """schemes._line_minimize, the exact search along one Powell line."""
 
     def search(self, dataset, loss, prior, theta, direction):
         def objective(t):
@@ -304,8 +318,7 @@ class TestLineMinimizer:
 
         z = dataset.labels[:, None] * dataset.features
         f0 = objective(theta)
-        moved, f = bench._line_minimize(objective, z, loss_kinks(loss), prior,
-                                        theta, direction, f0)
+        moved, f = powell_line(objective, z, loss, prior, theta, direction, f0)
         return objective, f0, moved, f
 
     @pytest.mark.parametrize("loss", [hinge(), quasi01(0.1), quasi01(0.5)],
@@ -342,8 +355,8 @@ class TestLineMinimizer:
         # the chosen point says it is no better than f0.
         theta = np.zeros(synthetic_dataset.dim)
         z = synthetic_dataset.labels[:, None] * synthetic_dataset.features
-        moved, f = bench._line_minimize(lambda t: 400.0, z, loss_kinks(hinge()), PRIOR,
-                                        theta, np.eye(synthetic_dataset.dim)[0], 400.0)
+        moved, f = powell_line(lambda t: 400.0, z, hinge(), PRIOR,
+                               theta, np.eye(synthetic_dataset.dim)[0], 400.0)
         assert moved is theta and f == 400.0
 
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import ffep
+from ffep import cli
 from ffep.cli import main
 from ffep.ingest import bundled_synthetic_path
 
@@ -184,6 +185,19 @@ class TestReferenceCommand:
         assert float(lines[1].split("duality_gap=")[1]) == pytest.approx(
             hinge_ref["duality_gap"], rel=1e-2, abs=0.0)
 
+    def test_failed_reference_exits_three_without_a_traceback(self, tmp_path, small_csv,
+                                                              capsys, monkeypatch):
+        def failing(*args):
+            raise RuntimeError("logistic Newton did not reach the gradient tolerance")
+
+        monkeypatch.setattr(cli, "_compute_references", failing)
+        cfg = write_config(tmp_path, small_csv)
+        assert main(["reference", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == (
+            "FAILED: {'stage': 'reference', 'error': "
+            "'logistic Newton did not reach the gradient tolerance'}\n")
+        assert not (tmp_path / "results" / "references.json").exists()
+
     def test_accepts_the_bundled_dataset_token(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({
@@ -308,6 +322,27 @@ class TestTooFewRowsIsADataError:
         err = capsys.readouterr().err
         assert err.startswith("ffep: data error: ")
         assert "need at least 2 usable rows" in err
+
+
+class TestNonFiniteValueIsADataError:
+    """A nan, inf or overflowing token is named, not read as a number."""
+
+    @pytest.mark.parametrize("token", ["nan", "-inf", "1e400"])
+    @pytest.mark.parametrize("command", ["run", "reference"])
+    def test_exits_two_naming_the_row_and_column(self, tmp_path, small_csv, capsys,
+                                                 command, token):
+        lines = small_csv.read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[5].split(",")
+        row[header.index("age")] = token
+        lines[5] = ",".join(row)
+        small_csv.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, small_csv)
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ffep: data error: ")
+        assert f"row 6 has non-finite value '{token}' in column 'age'" in err
+        assert not any((tmp_path / "results").rglob("*.json"))  # no manifest, no references
 
 
 class TestReportCommand:

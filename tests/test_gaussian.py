@@ -143,6 +143,12 @@ class TestMomentConversions:
         with pytest.raises(MomentMatchError):
             moments_to_natural(1.0, [0.0], [-0.1])
 
+    @pytest.mark.parametrize("m2", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_variance_is_named_so(self, m2):
+        with pytest.raises(MomentMatchError,
+                           match=f"^coordinate 1 implies non-finite variance {m2:g}$"):
+            moments_to_natural(1.0, [0.0, 0.0], [1.0, m2])
+
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(MomentMatchError):
             moments_to_natural(0.0, [0.0], [1.0])

@@ -47,8 +47,11 @@ def test_diff_reports_only_the_perturbed_run(synthetic306, tmp_path):
     copy = tmp_path / "golden_runs.json"
     copy.write_text(json.dumps(perturbed))
     runs = {key: golden_run(synthetic306, key) for key in RUN_KEYS}
+    last = float.fromhex(run["last_cost"])
     assert diff_lines(copy, runs) == [
-        "looping/hinge/la: max relative move 1e-09, sweep counts match"]
+        f"looping/hinge/la: max relative move 1e-09, last_cost {last!r} -> {last!r}, "
+        "sweep counts match (31/0/0 31/0/0 31/0/0 31/0/0 31/0/0 -> "
+        "31/0/0 31/0/0 31/0/0 31/0/0 31/0/0)"]
 
 
 def test_diff_exits_1_when_a_run_differs_and_0_when_all_match(monkeypatch, tmp_path, capsys):
@@ -59,8 +62,10 @@ def test_diff_exits_1_when_a_run_differs_and_0_when_all_match(monkeypatch, tmp_p
     copy.write_text(json.dumps(perturbed))
     monkeypatch.setattr(make_golden_runs, "GOLDEN_PATH", copy)
     assert make_golden_runs.main(["--diff"]) == 1
+    last = float.fromhex(run["last_cost"])
     assert capsys.readouterr().out == (
-        "streaming/logistic/gq: max relative move 0, sweep counts differ\n")
+        f"streaming/logistic/gq: max relative move 0, last_cost {last!r} -> {last!r}, "
+        "sweep counts differ (32/0/0 -> 31/0/0)\n")
     assert json.loads(copy.read_text()) == perturbed  # --diff writes nothing
 
     script = Path(make_golden_runs.__file__)

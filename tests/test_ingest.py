@@ -47,6 +47,17 @@ class TestLoadCsv:
             load_csv(path, ColumnSchema(label="cls", label_map=YESNO,
                                         numeric=("x",)))
 
+    @pytest.mark.parametrize("token", ["nan", "-inf", "1e400"])
+    @pytest.mark.parametrize("categorical", [(), ("cls",)], ids=["numeric", "categorical"])
+    def test_non_finite_token_names_the_row_and_column(self, tmp_path, token, categorical):
+        # an all-numeric table is parsed as a block first, the other row by row
+        path = write(tmp_path, f"x,z,cls\n1.0,2.0,yes\n3.0,{token},no\n")
+        schema = ColumnSchema(label="cls", label_map=YESNO, numeric=("x", "z"),
+                              categorical=categorical)
+        with pytest.raises(DataLoadError,
+                           match=f"row 3 has non-finite value '{token}' in column 'z'"):
+            load_csv(path, schema)
+
     def test_unknown_label_names_the_row(self, tmp_path):
         path = write(tmp_path, "x,cls\n1.0,maybe\n")
         with pytest.raises(DataLoadError, match="row 2.*maybe"):

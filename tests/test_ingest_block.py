@@ -22,7 +22,11 @@ TABLES = {
     "crlf": ("a,b,y\r\n1.5,-2,1\r\n3,4,0\r\n", BY_NAME, True),
     "blank_lines": ("\na,b,y\n\n1.5,-2,1\n\n3,4,0\n\n", BY_NAME, True),
     "padded_tokens": ("a , b , y\n 1.5 , -2 , 1 \n3 ,4,\t0\n", BY_NAME, True),
-    "nan_and_inf": ("a,b,y\nnan,inf,1\n-inf,1e400,0\n", BY_NAME, True),
+    "nan_and_inf": ("a,b,y\nnan,inf,1\n-inf,1e400,0\n", BY_NAME, False),
+    "nan_token": ("a,b,y\n1.5,-2,1\n3,nan,0\n", BY_NAME, False),
+    "minus_inf_token": ("a,b,y\n1.5,-2,1\n-inf,4,0\n", BY_NAME, False),
+    "overflowing_token": ("a,b,y\n1.5,1e400,1\n3,4,0\n", BY_NAME, False),
+    "nan_in_unused_column": ("a,c,b,y\n1,nan,2,1\n3,4,5,0\n", BY_NAME, True),
     "reordered_columns": ("y,b,a\n1,2,3\n0,4,5\n", BY_NAME, True),
     "no_header": ("1.5,-2,1\n3,4,0\n", BY_POSITION, True),
     "whitespace_only_line": ("a,b,y\n1.5,-2,1\n \n3,4,0\n", BY_NAME, False),

@@ -19,7 +19,7 @@ from ffep.gaussian import (
     multiply,
 )
 from ffep.ingest import Dataset
-from ffep.losses import hinge, is_piecewise_linear, logistic, quasi01
+from ffep.losses import hinge, logistic, loss_kinks, quasi01
 from ffep.schemes import (
     _MAX_HALVINGS,
     _taylor_message,
@@ -128,9 +128,11 @@ def gq_by_composition(cavity, factor):
     mean = m1 / m0
     var = m2 / m0 - mean**2
     if np.any(var <= 0) or not np.all(np.isfinite(var)):
-        bad = int(np.argmin(var)) if np.all(np.isfinite(var)) else int(
-            np.argmax(~np.isfinite(var)))
-        raise MomentMatchError(f"coordinate {bad} implies nonpositive variance {var[bad]:g}",
+        if np.all(np.isfinite(var)):
+            bad, kind = int(np.argmin(var)), "nonpositive"
+        else:
+            bad, kind = int(np.argmax(~np.isfinite(var))), "non-finite"
+        raise MomentMatchError(f"coordinate {bad} implies {kind} variance {var[bad]:g}",
                                coordinate=bad)
     log_scale = float(np.log(m0)) - 0.5 * float(
         np.sum(np.log(2.0 * np.pi * var) + mean**2 / var))
@@ -315,9 +317,8 @@ def stepwise_laplace(cavity, factor, scheme=None):
     The same Newton iteration, trying t = 1, 1/2, 1/4, ... with one factor
     call each and stopping at the first ascent, or converging when the full
     step ties the objective to 4 ulps: the reference the batched line search
-    must match.  A factor with a piecewise-linear ``loss`` gets the
-    mode-consistent slope, as in approx_laplace; hinge batches must be
-    wrapped in BlackBoxFactor to reach the search at all.
+    must match.  Batches on a piecewise-linear loss must be wrapped in
+    BlackBoxFactor to reach the search at all, and then keep their own slope.
     """
     scheme = scheme or SchemeKind("la")
     tol = scheme.newton_tol
@@ -358,10 +359,6 @@ def stepwise_laplace(cavity, factor, scheme=None):
 
     value = factor.log_value(theta)
     grad_f, hd_f = factor.log_grad_hessdiag(theta)
-    loss = getattr(factor, "loss", None)
-    if loss is not None and is_piecewise_linear(loss):
-        grad_f = -(cavity.linear + 2.0 * cavity.neg_half_precision * theta)
-        hd_f = np.zeros_like(theta)
     return _taylor_message(theta, value, grad_f, hd_f)
 
 
@@ -454,7 +451,7 @@ class TestLaplaceLineSearch:
         for start in range(0, synthetic_dataset.n_examples, 10):
             batch = np.arange(start, min(start + 10, synthetic_dataset.n_examples))
             factor = BoundFactor(synthetic_dataset, batch, loss)
-            if loss.name == "hinge":
+            if loss.name != "logistic":
                 factor = BlackBoxFactor(factor)
             cavity = random_cavity(rng, d, log_var_range=(-1.5, 3.2), mean_scale=5.0)
             assert_same_laplace_outcome(cavity, factor)
@@ -483,9 +480,13 @@ class TestLaplaceLineSearch:
 
     def test_looping_quasi01_run_matches_stepwise_search(self, synthetic_dataset,
                                                          monkeypatch):
+        # without their margin view, quasi 0-1 batches take the halving search
         cfg = EpConfig(scheme=SchemeKind("la"), loss=quasi01(), batch_size=10)
+        monkeypatch.setitem(schemes._DISPATCH, "la", lambda cavity, factor, scheme:
+                            approx_laplace(cavity, BlackBoxFactor(factor), scheme))
         state, trace = ep_run(cfg, synthetic_dataset)
-        monkeypatch.setitem(schemes._DISPATCH, "la", stepwise_laplace)
+        monkeypatch.setitem(schemes._DISPATCH, "la", lambda cavity, factor, scheme:
+                            stepwise_laplace(cavity, BlackBoxFactor(factor), scheme))
         ref_state, ref_trace = ep_run(cfg, synthetic_dataset)
         assert ([r.update_status for r in trace.records]
                 == [r.update_status for r in ref_trace.records])
@@ -493,6 +494,130 @@ class TestLaplaceLineSearch:
         np.testing.assert_allclose(g.linear, ref.linear, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(g.neg_half_precision, ref.neg_half_precision,
                                    rtol=1e-12, atol=1e-12)
+
+
+def assert_line_minimum(cavity, factor, theta, direction, f0, moved, f):
+    """One exact search of la's, checked against a dense grid on its line.
+
+    On the line theta + t*u minus log(c*f) is c2*t^2 + c1*t plus beta times
+    a loss sum whose slope is at most beta * max|loss'| * sum|Z u|, so every
+    minimizer lies within |t| <= R = (|c1| + that bound) / (2 c2).  The grid
+    spans [-R, R] and is refined around its own best point and around the
+    search's; no grid point may be lower than the search's answer, beyond
+    rounding on the scale of the terms the objective sums.
+    """
+    if moved is theta:
+        assert f == f0
+    else:
+        assert f == -(eval_log(cavity, moved) + factor.log_value(moved)) < f0  # never uphill
+    if not direction.any():
+        return
+
+    def neg_log(ts):
+        points = theta + np.asarray(ts)[:, None] * direction
+        return -(eval_log(cavity, points) + factor.log_value_many(points))
+
+    lam, mu = cavity.precision, cavity.mean
+    c1, c2 = float(lam * (theta - mu) @ direction), 0.5 * float(lam @ direction ** 2)
+    left_slope, _, jumps = loss_kinks(factor.loss)
+    max_slope = np.abs(np.cumsum(np.concatenate(([left_slope], jumps)))).max()
+    b_sum = np.abs(factor.Z @ direction).sum()
+    reach = (abs(c1) + factor.beta * max_slope * b_sum) / (2 * c2)
+    ts = np.linspace(-reach, reach, 20_001)
+    h = ts[1] - ts[0]
+    t_found = float((moved - theta) @ direction / (direction @ direction))
+    np.testing.assert_allclose(moved, theta + t_found * direction, rtol=0, atol=1e-12)
+    grids = [ts, [0.0]]
+    for centre in (ts[np.argmin(neg_log(ts))], t_found):
+        grids.append(np.linspace(centre - 2 * h, centre + 2 * h, 4_001))
+    lowest = min(neg_log(g).min() for g in grids)
+    # a kink's location carries rounding, which the loss sum turns into a
+    # first-order error of beta * slope * |margin| * ulp
+    scale = abs(lowest) + factor.beta * max_slope * (
+        np.abs(factor.Z @ theta).sum() + abs(t_found) * b_sum)
+    assert f <= lowest + 1e-13 * scale
+
+
+class TestLaplaceExactLineSearch:
+    """la on quasi 0-1 batches: the exact minimizer along each Newton direction."""
+
+    @pytest.fixture
+    def lines(self, monkeypatch):
+        """(theta, direction, f0, moved, f) of every line la searches."""
+        calls = []
+
+        def recording(objective, Z, kinks, theta, direction, f0, c1, c2, beta,
+                      real=schemes._line_minimize):
+            moved, f = real(objective, Z, kinks, theta, direction, f0, c1, c2, beta)
+            calls.append((theta, direction, f0, moved, f))
+            return moved, f
+
+        monkeypatch.setattr(schemes, "_line_minimize", recording)
+        return calls
+
+    @pytest.mark.parametrize("beta", [1.0, 50.0, 1000.0])
+    @pytest.mark.parametrize("epsilon", [0.1, 0.5])
+    @pytest.mark.parametrize("rows, columns", [
+        (slice(0, 10), slice(None)),  # a full batch, s = 10 in d = 4
+        (slice(300, 306), slice(None)),  # synthetic306's remainder batch
+        (slice(7, 8), slice(None)),  # s = 1
+        (slice(40, 50), slice(0, 1)),  # d = 1
+        (None, None),  # random batches of 1-4 rows in d = 2 or 3
+    ], ids=["full", "remainder", "s1", "d1", "random"])
+    def test_every_line_matches_a_dense_grid(self, synthetic_dataset, rows, columns,
+                                             epsilon, beta, lines):
+        # On the synthetic306 batches the first line nearly always ends the
+        # search; on small random batches a second line often moves, from a
+        # theta away from the cavity mean, which checks c1 = sum L (theta - mu) u.
+        rng = np.random.default_rng(70)
+        for _ in range(3 if rows else 30):
+            if rows:
+                ds = Dataset(features=synthetic_dataset.features[rows, columns],
+                             labels=synthetic_dataset.labels[rows])
+                cavity = random_cavity(rng, ds.dim, log_var_range=(-1.5, 3.2), mean_scale=5.0)
+            else:
+                s, d = int(rng.integers(1, 5)), int(rng.integers(2, 4))
+                ds = Dataset(features=rng.normal(size=(s, d)),
+                             labels=rng.choice([-1.0, 1.0], size=s))
+                cavity = random_cavity(rng, d)
+            factor = BoundFactor(ds, np.arange(ds.n_examples), quasi01(epsilon), beta)
+            lines.clear()
+            approx_laplace(cavity, factor)
+            assert lines
+            for line in lines:
+                assert_line_minimum(cavity, factor, *line)
+
+    @pytest.mark.parametrize("beta", [1.0, 50.0, 1000.0])
+    def test_one_dimension_reaches_the_global_mode(self, beta):
+        # In d = 1 the first line is the whole axis, so its exact minimizer
+        # is the global maximizer of log(c*f), however many kinks it has.
+        rng = np.random.default_rng(71)
+        for _ in range(10):
+            rows = rng.normal(size=(int(rng.integers(1, 6)), 1))
+            ds = Dataset(features=rows, labels=rng.choice([-1.0, 1.0], size=len(rows)))
+            factor = BoundFactor(ds, np.arange(len(rows)), quasi01(0.1), beta)
+            cavity = random_cavity(rng, 1)
+            mode = tilted_mode(cavity, factor)
+            grid = np.linspace(-15.0, 15.0, 300_001)[:, None]
+            log_tilted = eval_log(cavity, grid) + factor.log_value_many(grid)
+            best = eval_log(cavity, mode) + factor.log_value(mode)
+            assert best >= log_tilted.max() - 1e-12 * abs(best)
+
+    def test_zero_newton_step_returns_the_cavity_mean(self, lines):
+        # Unit variances make the cavity's own gradient at its mean exactly
+        # zero, and both margins there lie past epsilon, where quasi 0-1 is
+        # flat: the Newton step is zero, so the search must not divide by it.
+        cavity = DiagGaussian.from_mean_var([2.0, -1.0], [1.0, 1.0])
+        ds = Dataset(features=np.array([[1.0, -1.0], [0.5, 0.0]]), labels=np.ones(2))
+        factor = BoundFactor(ds, [0, 1], quasi01(0.5), 50.0)
+        with np.errstate(all="raise"):
+            msg = approx_laplace(cavity, factor)
+        (theta, direction, _, moved, _), = lines
+        assert not direction.any() and moved is theta
+        np.testing.assert_array_equal(theta, cavity.mean)
+        assert msg.log_scale == 0.0
+        np.testing.assert_array_equal(msg.linear, 0.0)
+        np.testing.assert_array_equal(msg.neg_half_precision, 0.0)
 
 
 def hinge_batch(Z_rows, beta=1.0):
@@ -709,6 +834,27 @@ class TestLaplaceOnSynthetic306:
         final = trace.records[-1].total_cost
         assert abs(final - reference) <= 0.05 * reference
 
+    def test_quasi01_run_takes_at_most_two_newton_iterations_per_visit(self, synthetic_dataset,
+                                                                       monkeypatch):
+        calls = {"iterations": 0, "stacks": 0}
+        grad, many = BoundFactor.log_grad_hessdiag, BoundFactor.log_value_many
+
+        def counting_grad(factor, theta):
+            calls["iterations"] += 1
+            return grad(factor, theta)
+
+        def counting_many(factor, thetas):
+            calls["stacks"] += 1
+            return many(factor, thetas)
+
+        monkeypatch.setattr(BoundFactor, "log_grad_hessdiag", counting_grad)
+        monkeypatch.setattr(BoundFactor, "log_value_many", counting_many)
+        cfg = EpConfig(scheme=SchemeKind("la"), loss=quasi01(), batch_size=10)
+        _, trace = ep_run(cfg, synthetic_dataset)
+        assert [(s.applied, s.repeated) for s in trace.sweeps] == [(31, 0)] * 5
+        assert calls["iterations"] <= 2.0 * 5 * 31
+        assert calls["stacks"] == 0  # no halving stack is scored
+
     def test_logistic_posterior_is_unchanged(self, synthetic_dataset):
         cfg = EpConfig(scheme=SchemeKind("la"), loss=logistic(), batch_size=10)
         state, _ = ep_run(cfg, synthetic_dataset)
@@ -827,8 +973,9 @@ class TestGaussQuadrature:
                     try:
                         expected = gq_by_composition(cavity, factor)
                     except MomentMatchError as exc:
-                        assert str(exc).startswith(f"coordinate {exc.coordinate} implies "
-                                                   "nonpositive variance ")
+                        assert str(exc).startswith((
+                            f"coordinate {exc.coordinate} implies nonpositive variance ",
+                            f"coordinate {exc.coordinate} implies non-finite variance "))
                         with pytest.raises(SchemeFailure) as err:
                             approx_gauss_quadrature(cavity, factor)
                         assert str(err.value) == f"quadrature moments not matchable: {exc}"
@@ -994,7 +1141,8 @@ class TestVariationalQuadrature:
         shift = float(np.max(logf))
         sigma = np.sqrt(cavity.variance)
         z = rule.points / sigma  # the cavity mean is zero
-        zrule = QuadratureRule(points=z, weights=rule.weights, gamma=rule.gamma)
+        zrule = QuadratureRule(points=z, weights=rule.weights, gamma=rule.gamma,
+                               offsets=np.full(cavity.dim, rule.gamma))
         F = np.exp(logf - shift)
         # log g - shift = c0 + b.z + a.z^2 with b = sigma*linear, a = sigma^2*nhp
         alpha = np.concatenate([[msg.log_scale - shift],
