@@ -33,11 +33,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import EpConfig, EpTrace, _require_integer, classification_costs, ep_run
+from .engine import EpConfig, EpTrace, classification_costs, ep_run
 from .factors import PriorFactor
 from .ingest import ColumnSchema, Dataset, load_csv, preprocess
 from .losses import LossKind, loss_derivatives, loss_kinks
-from .schemes import SchemeKind, _box_qp, _line_minimize
+from .schemes import SchemeKind, _box_qp, _line_minimize, _require_integer
 
 __all__ = [
     "RunConfig",
@@ -183,7 +183,7 @@ class RunConfig:
     """One experiment: a dataset crossed with losses and schemes.
 
     ``timing_repetitions`` is an integer and ``with_references`` a bool;
-    the EP protocol fields are checked as EpConfig checks them.
+    the EP protocol fields take EpConfig's defaults and checks.
     """
 
     dataset_path: str | Path
@@ -192,12 +192,12 @@ class RunConfig:
     schemes: tuple[SchemeKind, ...]
     out_dir: str | Path
     dataset_name: str = "dataset"
-    batch_size: int = 10
-    n_sweeps: int | None = None
-    mode: str = "looping"
-    beta: float = 1.0
+    batch_size: int = EpConfig.batch_size
+    n_sweeps: int | None = EpConfig.n_sweeps
+    mode: str = EpConfig.mode
+    beta: float = EpConfig.beta
     prior: PriorFactor = field(default_factory=PriorFactor)
-    cost_every: int = 1
+    cost_every: int = EpConfig.cost_every
     timing_repetitions: int = 3
     with_references: bool = True
     # every run's EP protocol, validated here; each run swaps in its loss and scheme
@@ -362,12 +362,11 @@ def run_experiment(config: RunConfig) -> dict:
                     out / trace_name, trace,
                     reference_cost=None if ref is None else ref["cost"],
                 )
-                final_cost = total_cost(state.global_approx.mean, dataset, loss)
+                ms = statistics.median(per_batch_ms)
                 timing_rows.append(
                     TimingRow(
                         config.dataset_name, dataset.n_examples, dataset.dim,
-                        config.batch_size, loss.name, scheme.kind,
-                        statistics.median(per_batch_ms),
+                        config.batch_size, loss.name, scheme.kind, ms,
                     )
                 )
                 manifest["runs"].append(
@@ -375,14 +374,15 @@ def run_experiment(config: RunConfig) -> dict:
                         "loss": loss.name,
                         "scheme": scheme.kind,
                         "trace_file": trace_name,
-                        "final_cost": final_cost,
+                        # the trace evaluates its last cost alone, at the final mean
+                        "final_cost": trace.records[-1].total_cost,
                         "final_cost_with_prior": total_cost(
                             state.global_approx.mean, dataset, loss, config.prior
                         ),
                         "reference_cost": None if ref is None else ref["cost"],
                         "rejected_updates": sum(s.rejected for s in trace.sweeps),
                         "scheme_failures": sum(s.scheme_failed for s in trace.sweeps),
-                        "mean_ms_per_minibatch": statistics.median(per_batch_ms),
+                        "mean_ms_per_minibatch": ms,
                         "sweeps": [asdict(rec) for rec in trace.sweeps],
                     }
                 )

@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 from .bench import _TIMING_COLUMNS, RunConfig, _compute_references, run_experiment
+from .engine import EpConfig
 from .factors import PriorFactor
 from .ingest import (
     ColumnSchema,
@@ -30,8 +31,8 @@ from .ingest import (
     load_csv,
     preprocess,
 )
-from .losses import loss_from_name
-from .schemes import SchemeKind
+from .losses import _VALID, LossKind, loss_from_name
+from .schemes import _DISPATCH, SchemeKind
 
 __all__ = ["main"]
 
@@ -44,21 +45,22 @@ _REAL = (int, float)
 _COLUMN = (str, int)
 _DATASET_KEYS = ("path", "label", "label_map", "numeric", "categorical", "has_header", "name")
 
+# every loss and every scheme; the rest as the class that owns the setting has it
 _DEFAULTS = {
-    "losses": ["logistic", "hinge", "quasi01"],
-    "epsilon": 0.1,
-    "schemes": ["la", "qla", "gq", "vq"],
-    "batch_size": 10,
-    "sweeps": None,
-    "mode": "looping",
-    "beta": 1.0,
-    "prior_variance": 25.0,
+    "losses": list(_VALID),
+    "epsilon": LossKind.epsilon,
+    "schemes": list(_DISPATCH),
+    "batch_size": EpConfig.batch_size,
+    "sweeps": EpConfig.n_sweeps,
+    "mode": EpConfig.mode,
+    "beta": EpConfig.beta,
+    "prior_variance": PriorFactor.variance,
     "out": "results",
-    "timing_repetitions": 3,
-    "cost_every": 1,
-    "references": True,
-    "gamma": None,
-    "newton_tol": 1e-5,
+    "timing_repetitions": RunConfig.timing_repetitions,
+    "cost_every": EpConfig.cost_every,
+    "references": RunConfig.with_references,
+    "gamma": SchemeKind.gamma,
+    "newton_tol": SchemeKind.newton_tol,
 }
 
 

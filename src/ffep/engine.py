@@ -58,7 +58,7 @@ from .factors import BoundFactor, PriorFactor, prior_as_message
 from .gaussian import DiagGaussian, divide, multiply
 from .ingest import Dataset, partition
 from .losses import LossKind, loss_value
-from .schemes import SchemeFailure, SchemeKind, approximate
+from .schemes import SchemeFailure, SchemeKind, _require_integer, approximate
 
 __all__ = [
     "EpConfig",
@@ -70,7 +70,6 @@ __all__ = [
     "ep_run",
     "ep_run_factors",
     "gate_update",
-    "posterior_mode",
 ]
 
 # posterior precisions at or below this floor count as improper for gating
@@ -79,12 +78,6 @@ _PRODUCT_TOL = 1e-9
 # float64 values in one block of classification_costs' margins (2 MB), so
 # that a block stays in a core's L2 cache while the loss reads it back
 _MARGIN_BLOCK = 2**18
-
-
-def _require_integer(name: str, value):
-    """Raise ValueError unless ``value`` is an integer; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 @dataclass
@@ -140,9 +133,8 @@ class EpState:
     In looping mode row k of ``linear`` and ``neg_half_precision`` (both
     (K, d)) and entry k of ``log_scale`` (K,) hold factor k's message; every
     row starts as the unit message.  Streaming stores no messages, so all
-    three are None.  ``messages`` is a read-only snapshot of the rows as
-    DiagGaussian values (None when streaming).  Visit outcomes are counted
-    in the trace's SweepRecords, not here.
+    three are None.  ``message(k)`` reads row k as a DiagGaussian.  Visit
+    outcomes are counted in the trace's SweepRecords, not here.
     """
 
     global_approx: DiagGaussian
@@ -158,16 +150,6 @@ class EpState:
             return cls(prior_msg)
         shape = (n_messages, prior_msg.dim)
         return cls(prior_msg, np.zeros(shape), np.zeros(shape), np.zeros(n_messages))
-
-    @property
-    def messages(self) -> list[DiagGaussian] | None:
-        if self.linear is None:
-            return None
-        return [
-            DiagGaussian(s, lin, nhp)
-            for s, lin, nhp in zip(self.log_scale, self.linear.copy(),
-                                   self.neg_half_precision.copy())
-        ]
 
     def message(self, k: int) -> DiagGaussian:
         """Factor k's stored message (its arrays are views of the store)."""
@@ -243,11 +225,6 @@ def gate_update(cavity: DiagGaussian, candidate: DiagGaussian) -> DiagGaussian |
         return None
     posterior = multiply(cavity, candidate)
     return posterior if (posterior.precision > _PRECISION_FLOOR).all() else None
-
-
-def posterior_mode(state: EpState) -> np.ndarray:
-    """Mode of the posterior approximation (the mean of a Gaussian)."""
-    return state.global_approx.mean
 
 
 def _close(a, b) -> bool:

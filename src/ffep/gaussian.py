@@ -35,8 +35,6 @@ __all__ = [
     "eval_log",
 ]
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
 
 class ImproperGaussianError(ValueError):
     """A moment view was requested from a non-integrable Gaussian form."""

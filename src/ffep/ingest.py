@@ -16,7 +16,8 @@ Conventions:
   column it becomes a level of its own, in a numeric column the whole row is
   dropped and the drop count logged;
 * a numeric token that parses to a non-finite number ("nan", "inf",
-  "1e400") is a data error naming its row and column;
+  "1e400") is a data error naming its row and column, and so is a column
+  that overflows while ``preprocess`` centers and scales it, by name;
 * a constant raw column is all zeros after centering and is retained as-is
   (norm left at 0), preserving column indexing; a zero feature is inert in
   every loss.
@@ -275,14 +276,21 @@ def _load_rows(path, schema: ColumnSchema) -> RawTable:
 def preprocess(table: RawTable, name: str = "dataset") -> Dataset:
     """Center and unit-norm every feature column, then append the baseline.
 
-    Raises DataLoadError on a table with fewer than 2 rows or no feature.
+    Raises DataLoadError on a table with fewer than 2 rows or no feature,
+    and on a column that overflows float64 while being centered and scaled
+    (values near 1e308, or a norm beyond it): dividing by its non-finite
+    norm would leave it NaN or silently zero.
     """
     X = np.asarray(table.columns, dtype=float)
     if X.shape[0] < 2 or X.shape[1] < 1:
         raise DataLoadError(f"{name}: need at least 2 usable rows and 1 feature, "
                             f"not {X.shape[0]} and {X.shape[1]}")
-    X = X - X.mean(axis=0)
-    norms = np.linalg.norm(X, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = X - X.mean(axis=0)
+        norms = np.linalg.norm(X, axis=0)
+    if not np.isfinite(norms).all():
+        column = table.column_names[int(np.argmin(np.isfinite(norms)))]
+        raise DataLoadError(f"{name}: column {column!r} overflows when centered and scaled")
     nonzero = norms > 0
     X[:, nonzero] /= norms[nonzero]
     X = np.column_stack([X, np.ones(X.shape[0])])

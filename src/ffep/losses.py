@@ -51,11 +51,11 @@ def hinge() -> LossKind:
     return LossKind("hinge")
 
 
-def quasi01(epsilon: float = 0.1) -> LossKind:
+def quasi01(epsilon: float = LossKind.epsilon) -> LossKind:
     return LossKind("quasi01", epsilon)
 
 
-def loss_from_name(name: str, epsilon: float = 0.1) -> LossKind:
+def loss_from_name(name: str, epsilon: float = LossKind.epsilon) -> LossKind:
     """Loss selection by name, as used in run configs and the CLI."""
     return LossKind(name, epsilon) if name == "quasi01" else LossKind(name)
 

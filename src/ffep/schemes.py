@@ -85,6 +85,12 @@ class SchemeFailure(RuntimeError):
     """A scheme could not produce a candidate message; the engine decides."""
 
 
+def _require_integer(name: str, value):
+    """Raise ValueError unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class SchemeKind:
     """Scheme selector plus the numeric knobs of the back-ends.
@@ -101,12 +107,13 @@ class SchemeKind:
     gamma: float | None = None  # None: sqrt(d + 0.5), inducing uniform weights
 
     def __post_init__(self):
-        if self.kind not in ("la", "qla", "gq", "vq"):
+        if self.kind not in _DISPATCH:
             raise ValueError(f"unknown scheme {self.kind!r}")
         if not self.newton_tol > 0:
             raise ValueError("newton_tol must be positive")
-        if not isinstance(self.newton_max_iter, (int, np.integer)) or self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be an integer of at least 1")
+        _require_integer("newton_max_iter", self.newton_max_iter)
+        if self.newton_max_iter < 1:
+            raise ValueError("newton_max_iter must be at least 1")
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError("gamma must be positive")
 
@@ -403,36 +410,33 @@ def _hinge_mode(cavity: DiagGaussian, Z: np.ndarray, beta: float):
 def approx_laplace(cavity: DiagGaussian, factor, scheme: SchemeKind | None = None) -> DiagGaussian:
     """Fit the log-factor's Taylor expansion at the maximizer of cavity*factor.
 
-    A factor with a margin-space view (``loss``, ``beta`` and ``Z``, as
-    ``BoundFactor`` has) on the hinge loss has its maximizer solved exactly
-    as a box QP (_hinge_mode).  Every other factor takes the damped Newton
-    search of _newton_mode, which ``newton_tol`` and ``newton_max_iter``
-    drive: on another piecewise-linear loss (quasi 0-1) each Newton
-    direction is searched exactly through the margin view, and smooth and
-    black-box factors halve their steps.
+    A smooth or black-box factor finds its maximizer theta* by the damped
+    Newton search of _newton_mode, which ``newton_tol`` and
+    ``newton_max_iter`` drive and which halves its steps; the message takes
+    the factor's own gradient and Hessian diagonal at theta*.
 
-    On a piecewise-linear loss the mode often sits on kinks, where the
-    factor's one-sided slope is arbitrary and its curvature zero.  The
-    message then takes the mode-consistent slope L (theta* - mu), with L
-    and mu the cavity's precision and mean, so that cavity*message peaks at
-    theta*, and zero curvature.  Smooth and black-box factors take their own
-    gradient and Hessian diagonal at theta*.
+    A factor with a margin-space view (``loss``, ``beta`` and ``Z``, as
+    ``BoundFactor`` has) on a piecewise-linear loss is kinked.  A hinge
+    batch has its maximizer solved exactly as a box QP (_hinge_mode); a
+    quasi 0-1 batch takes _newton_mode, with each Newton direction searched
+    exactly through the margin view.  The mode often sits on kinks, where
+    the factor's one-sided slope is arbitrary and its curvature zero, so the
+    message takes the mode-consistent slope L (theta* - mu), with L and mu
+    the cavity's precision and mean, so that cavity*message peaks at
+    theta*, and zero curvature.
     """
     scheme = scheme or SchemeKind("la")
     loss = getattr(factor, "loss", None)
     kinks = loss_kinks(loss) if isinstance(loss, LossKind) else None
-    if kinks is not None and loss.name == "hinge":
+    if kinks is None:
+        theta = _newton_mode(cavity, factor, scheme, None)
+        return _taylor_message(theta, factor.log_value(theta), *factor.log_grad_hessdiag(theta))
+    if loss.name == "hinge":
         theta, grad_f = _hinge_mode(cavity, factor.Z, factor.beta)
     else:
         theta = _newton_mode(cavity, factor, scheme, kinks)
-        if kinks is not None:
-            grad_f = -(cavity.linear + 2.0 * cavity.neg_half_precision * theta)
-    value = factor.log_value(theta)
-    if kinks is not None:
-        hd_f = np.zeros_like(theta)
-    else:
-        grad_f, hd_f = factor.log_grad_hessdiag(theta)
-    return _taylor_message(theta, value, grad_f, hd_f)
+        grad_f = -(cavity.linear + 2.0 * cavity.neg_half_precision * theta)
+    return _taylor_message(theta, factor.log_value(theta), grad_f, np.zeros_like(theta))
 
 
 def approx_quick_laplace(cavity: DiagGaussian, factor,
@@ -503,7 +507,10 @@ def approx_variational_quadrature(cavity: DiagGaussian, factor,
     h = rule.offsets
     d = h.size
     l0, lp, lm = logf[0], logf[1 : d + 1], logf[d + 1 :]
-    return _taylor_message(rule.points[0], l0, (lp - lm) / (2.0 * h), (lp + lm - 2.0 * l0) / (h * h))
+    # a dead spoke (log f = -inf) makes the message non-finite; the gate rejects it
+    with np.errstate(all="ignore"):
+        return _taylor_message(rule.points[0], l0, (lp - lm) / (2.0 * h),
+                               (lp + lm - 2.0 * l0) / (h * h))
 
 
 # ---------------------------------------------------------------------------

@@ -311,7 +311,8 @@ def test_criterion_07_conjugate_fixed_point():
                                      prior=prior, n_sweeps=n)
             one, _ = ep_run_factors(factors, d, cfg(1))
             two, _ = ep_run_factors(factors, d, cfg(2))
-            for m1, m2 in zip(one.messages, two.messages):
+            for k in range(len(factors)):
+                m1, m2 = one.message(k), two.message(k)
                 assert np.max(np.abs(m1.linear - m2.linear)) < 1e-10
                 assert np.max(np.abs(m1.neg_half_precision
                                      - m2.neg_half_precision)) < 1e-10

@@ -495,6 +495,38 @@ class TestRunExperiment:
         assert float(row["mean_ms_per_minibatch"]) == pytest.approx(
             trace.total_ms / 31, rel=1e-5)
 
+    @pytest.mark.parametrize("cost_every", [1, 3])
+    def test_final_cost_is_the_cost_at_the_final_mean(self, small_csv, tmp_path,
+                                                      monkeypatch, cost_every):
+        """final_cost, read from the trace, equals total_cost at the run's
+        final posterior mean bit for bit, also when the trace is thinned."""
+        finals = {}
+        real = bench.ep_run
+
+        def ep_run(cfg, dataset):
+            state, trace = real(cfg, dataset)
+            finals[cfg.loss.name, cfg.scheme.kind] = cfg.loss, state.global_approx.mean, dataset
+            return state, trace
+
+        monkeypatch.setattr(bench, "ep_run", ep_run)
+        config = RunConfig(
+            dataset_path=small_csv,
+            schema=self.schema(),
+            losses=(logistic(), hinge(), quasi01(0.1)),
+            schemes=tuple(SchemeKind(kind=k) for k in ("la", "qla", "gq", "vq")),
+            out_dir=tmp_path / "out",
+            prior=PRIOR,
+            cost_every=cost_every,
+            timing_repetitions=1,
+            with_references=False,
+        )
+        manifest = run_experiment(config)
+        assert len(manifest["runs"]) == 12
+        for run in manifest["runs"]:
+            loss, mean, dataset = finals[run["loss"], run["scheme"]]
+            assert run["final_cost"] == total_cost(mean, dataset, loss)
+            assert run["final_cost_with_prior"] == total_cost(mean, dataset, loss, PRIOR)
+
     def test_reference_computation_can_be_disabled(self, small_csv, tmp_path):
         config = RunConfig(
             dataset_path=small_csv,

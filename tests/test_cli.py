@@ -17,8 +17,12 @@ import pytest
 
 import ffep
 from ffep import cli
+from ffep.bench import RunConfig
 from ffep.cli import main
+from ffep.engine import EpConfig
 from ffep.ingest import bundled_synthetic_path
+from ffep.losses import LossKind
+from ffep.schemes import SchemeKind
 
 
 @pytest.fixture()
@@ -93,6 +97,18 @@ class TestRunCommand:
         assert manifest["protocol"]["beta"] == 2.0
         assert manifest["protocol"]["prior_variance"] == 4.0
         assert manifest["failures"] == []
+
+    def test_an_empty_config_takes_the_owners_defaults(self):
+        config = cli._build_run_config(cli._build_parser().parse_args(["run"]))
+        assert config == RunConfig(
+            dataset_path=config.dataset_path,
+            schema=config.schema,
+            losses=(LossKind("logistic"), LossKind("hinge"), LossKind("quasi01")),
+            schemes=tuple(SchemeKind(k) for k in ("la", "qla", "gq", "vq")),
+            out_dir="results",
+            dataset_name="synthetic306",
+        )
+        assert config.ep_config == EpConfig(scheme=SchemeKind("la"), loss=LossKind("logistic"))
 
     def test_unknown_flag_exits_with_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -343,6 +359,25 @@ class TestNonFiniteValueIsADataError:
         assert err.startswith("ffep: data error: ")
         assert f"row 6 has non-finite value '{token}' in column 'age'" in err
         assert not any((tmp_path / "results").rglob("*.json"))  # no manifest, no references
+
+
+class TestOverflowingColumnIsADataError:
+    """A finite column that overflows when centered and scaled is named."""
+
+    @pytest.mark.parametrize("path", ["block", "rows"])
+    @pytest.mark.parametrize("command", ["run", "reference"])
+    def test_exits_two_naming_the_column(self, tmp_path, small_csv, capsys, command, path):
+        lines = ["age,year,nodes,status", "1.5e308,60,1,1", "1.5e308,61,2,2",
+                 "-1e308,62,3,1", "5,63,4,2"]
+        if path == "rows":  # a missing value sends the table to the row loop
+            lines.append("30,?,0,1")
+        small_csv.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, small_csv)
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ffep: data error: ")
+        assert "column 'age' overflows" in err
+        assert not any((tmp_path / "results").rglob("*.json"))
 
 
 class TestReportCommand:

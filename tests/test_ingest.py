@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ffep import ingest
 from ffep.ingest import (
     ColumnSchema,
     DataLoadError,
@@ -148,6 +149,24 @@ class TestPreprocess:
                          labels=np.sign(rng.normal(size=30)))
         ds = preprocess(table)
         np.testing.assert_allclose(ds.features[:, :-1], raw, atol=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("loader", ["_load_block", "_load_rows"])
+    @pytest.mark.parametrize("column", [
+        ("1.5e308", "1.5e308", "-1e308", "5"),  # the mean overflows: a NaN column
+        ("1e200", "-1e200", "1e200", "5"),  # the norm overflows: a zero column
+    ], ids=["mean-overflows", "norm-overflows"])
+    def test_overflowing_column_is_a_data_error(self, tmp_path, loader, column):
+        """A finite table whose column overflows while it is centered and
+        scaled is a data error naming the column, with no numpy warning."""
+        rows = "".join(f"{a},{b},{cls}\n" for a, b, cls in
+                       zip(column, "1234", ("yes", "no", "yes", "no")))
+        path = write(tmp_path, "a,b,cls\n" + rows)
+        table = getattr(ingest, loader)(path, ColumnSchema(label="cls", label_map=YESNO,
+                                                           numeric=("a", "b")))
+        assert np.isfinite(table.columns).all()
+        with pytest.raises(DataLoadError, match="column 'a' overflows"):
+            preprocess(table, name="big")
 
     def test_too_few_examples_rejected(self):
         from ffep.ingest import RawTable

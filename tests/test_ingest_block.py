@@ -4,10 +4,14 @@
 same columns (bit for bit, in C order), labels, names and dropped-row
 count, or raise the same DataLoadError text.  The ``block`` flag says
 whether the numpy parse serves the table itself or hands it to the loop.
+A property test generates further tables, odd tokens and ragged rows
+included, and checks the same equality wherever the block parse serves one.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffep import ingest
 from ffep.ingest import ColumnSchema, DataLoadError, load_csv
@@ -104,3 +108,62 @@ def test_missing_file_is_a_data_error(tmp_path):
 def test_bundled_table_is_served_by_the_block():
     path, schema = ingest.bundled_synthetic_path(), ingest.bundled_synthetic_schema()
     assert_same_table(ingest._load_block(path, schema), ingest._load_rows(path, schema))
+
+
+# tokens that read as one float, and tokens either parser may read differently
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["0", "-0", "2.5", "-3e-3", "1E3", ".5", "5.", "+5",
+                     "0.1234567890123456789012345", "2.2250738585072011e-308"]),
+)
+ODD = ["nan", "NaN", "inf", "-Infinity", "1e400", "-1e400", "1e-400", "1_0", "#x",
+       "?", "", " ", " 7 ", "\t4", "１", "٣", "0x10", '"1"', "abc", "1,5"]
+LABELS_OK = st.sampled_from(["1", "0"])
+LABELS = ["1", "0", " 1", "0 ", "7", "#x", "?", "", "１", '"1"']
+
+
+@st.composite
+def tables(draw):
+    """CSV text and a schema: numeric columns a..c, label y and sometimes an
+    unused column z, in any order, with a header or addressed by position;
+    then up to three cells swapped for odd tokens, and ragged or blank lines."""
+    names = ["a", "b", "c"][: draw(st.integers(1, 3))] + ["y"] + draw(
+        st.sampled_from([[], ["z"]]))
+    names = draw(st.permutations(names))
+    rows = [[draw(LABELS_OK if n == "y" else NUMBERS) for n in names]
+            for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 3))):
+        r, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(names) - 1))
+        rows[r][c] = draw(st.sampled_from(LABELS if names[c] == "y" else ODD))
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.sampled_from([
+            lines[i].rpartition(",")[0],  # one field short
+            lines[i] + ",9",  # one field long
+            "\n" + lines[i],  # a blank line before it
+            " \n" + lines[i],  # a whitespace-only line before it
+        ]))
+    has_header = draw(st.booleans())
+    if has_header:
+        lines.insert(0, ",".join(names))
+    columns = names if has_header else list(range(len(names)))
+    numeric = [columns[names.index(n)] for n in "abc" if n in names]
+    schema = ColumnSchema(label=columns[names.index("y")], label_map=LABEL_MAP,
+                          numeric=draw(st.permutations(numeric)), has_header=has_header)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end, schema
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(table=tables())
+def test_block_parse_equals_the_row_loop_wherever_it_serves(tmp_path_factory, table):
+    text, schema = table
+    path = tmp_path_factory.getbasetemp() / "generated.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        got = ingest._load_block(path, schema)
+    except (OSError, ValueError, KeyError):
+        return  # load_csv hands the table to the row loop
+    assert_same_table(got, ingest._load_rows(path, schema))

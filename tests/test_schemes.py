@@ -1224,7 +1224,7 @@ class TestSchemeSelection:
             SchemeKind(kind="vq", newton_tol=0.0)
         with pytest.raises(ValueError):
             SchemeKind(kind="gq", gamma=-1.0)
-        for bad_cap in (0, -3, 2.5):
+        for bad_cap in (0, -3, 2.5, True):
             with pytest.raises(ValueError):
                 SchemeKind(kind="la", newton_max_iter=bad_cap)
 
