@@ -35,7 +35,7 @@ import numpy as np
 
 from .engine import EpConfig, EpTrace, classification_costs, ep_run
 from .factors import PriorFactor
-from .ingest import ColumnSchema, Dataset, load_csv, preprocess
+from .ingest import ColumnSchema, DataLoadError, Dataset, load_csv, preprocess
 from .losses import LossKind, loss_derivatives, loss_kinks
 from .schemes import SchemeKind, _box_qp, _line_minimize, _require_integer
 
@@ -65,8 +65,13 @@ def total_cost(theta, dataset: Dataset, loss: LossKind,
     theta = np.asarray(theta, dtype=float)
     cost = float(classification_costs(theta[None, :], dataset, loss)[0])
     if prior is not None:
-        cost += 0.5 * float(np.sum(theta * theta)) / prior.variance
+        cost += _prior_term(theta, prior)
     return cost
+
+
+def _prior_term(theta: np.ndarray, prior: PriorFactor) -> float:
+    """The prior's quadratic term theta^T theta / (2 * variance)."""
+    return 0.5 * float(np.sum(theta * theta)) / prior.variance
 
 
 def reference_newton_logistic(dataset: Dataset,
@@ -284,7 +289,7 @@ def _compute_references(dataset: Dataset, losses, prior: PriorFactor):
     refs = {}
     theta_log = reference_newton_logistic(dataset, prior)
     for loss in losses:
-        gap = None
+        dual = gap = None
         if loss.name == "logistic":
             theta, converged = theta_log, True
         elif loss.name == "hinge":
@@ -292,16 +297,19 @@ def _compute_references(dataset: Dataset, losses, prior: PriorFactor):
             var = prior.variance
             alpha = _box_qp(var * Z, Z, np.ones(dataset.n_examples), 1.0, Z @ theta_log < 1.0)
             theta = var * (alpha @ Z)
-            primal = total_cost(theta, dataset, loss, prior)
-            gap = (primal - float(alpha.sum() - 0.5 * (theta @ theta) / var)) / primal
-            converged = gap <= _HINGE_GAP_RTOL
+            dual = float(alpha.sum() - 0.5 * (theta @ theta) / var)
         else:
             result = reference_powell(dataset, loss, theta_log, prior)
             theta, converged = result.theta, result.converged
+        cost = total_cost(theta, dataset, loss)
+        cost_with_prior = cost + _prior_term(theta, prior)
+        if dual is not None:
+            gap = (cost_with_prior - dual) / cost_with_prior
+            converged = gap <= _HINGE_GAP_RTOL
         refs[loss.name] = {
             "theta": [float(v) for v in theta],
-            "cost": total_cost(theta, dataset, loss),
-            "cost_with_prior": total_cost(theta, dataset, loss, prior),
+            "cost": cost,
+            "cost_with_prior": cost_with_prior,
             "converged": converged,
             "duality_gap": gap,
         }
@@ -309,11 +317,18 @@ def _compute_references(dataset: Dataset, losses, prior: PriorFactor):
 
 
 def run_experiment(config: RunConfig) -> dict:
-    """Execute every (loss, scheme) run, write traces/timings, return the manifest."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Execute every (loss, scheme) run, write traces/timings, return the manifest.
+
+    A table with fewer usable rows than ``batch_size`` is a DataLoadError,
+    raised before any reference or run.
+    """
     table = load_csv(config.dataset_path, config.schema)
     dataset = preprocess(table, name=config.dataset_name)
+    if dataset.n_examples < config.batch_size:
+        raise DataLoadError(f"{config.dataset_name}: batch_size {config.batch_size} needs at "
+                            f"least as many usable rows, not {dataset.n_examples}")
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     manifest = {
         "dataset": {
@@ -376,9 +391,8 @@ def run_experiment(config: RunConfig) -> dict:
                         "trace_file": trace_name,
                         # the trace evaluates its last cost alone, at the final mean
                         "final_cost": trace.records[-1].total_cost,
-                        "final_cost_with_prior": total_cost(
-                            state.global_approx.mean, dataset, loss, config.prior
-                        ),
+                        "final_cost_with_prior": trace.records[-1].total_cost
+                        + _prior_term(state.global_approx.mean, config.prior),
                         "reference_cost": None if ref is None else ref["cost"],
                         "rejected_updates": sum(s.rejected for s in trace.sweeps),
                         "scheme_failures": sum(s.scheme_failed for s in trace.sweeps),

@@ -8,8 +8,9 @@ Subcommands:
 
 Run configs are JSON; every field has a default aimed at the bundled
 synthetic dataset, and the flags --scheme, --loss, --batch-size, --sweeps,
---mode and --out override the file.  Exit codes: 0 success, 1 usage
-error, 2 data error, 3 at least one run or reference failed.
+--mode and --out override the file.  ``run`` and ``reference`` check the
+whole config the same way before reading any data.  Exit codes: 0 success,
+1 usage error, 2 data error, 3 at least one run or reference failed.
 """
 
 from __future__ import annotations
@@ -43,25 +44,40 @@ _RUNS_FAILED = 3
 _REAL = (int, float)
 # a column: a header name, or a 0-based position in a file without a header
 _COLUMN = (str, int)
-_DATASET_KEYS = ("path", "label", "label_map", "numeric", "categorical", "has_header", "name")
+# the default of a dataset key that must be given
+_REQUIRED = object()
 
-# every loss and every scheme; the rest as the class that owns the setting has it
-_DEFAULTS = {
-    "losses": list(_VALID),
-    "epsilon": LossKind.epsilon,
-    "schemes": list(_DISPATCH),
-    "batch_size": EpConfig.batch_size,
-    "sweeps": EpConfig.n_sweeps,
-    "mode": EpConfig.mode,
-    "beta": EpConfig.beta,
-    "prior_variance": PriorFactor.variance,
-    "out": "results",
-    "timing_repetitions": RunConfig.timing_repetitions,
-    "cost_every": EpConfig.cost_every,
-    "references": RunConfig.with_references,
-    "gamma": SchemeKind.gamma,
-    "newton_tol": SchemeKind.newton_tol,
+# Each config key, section by section: its default, its container (None, list
+# or dict), the type of its value or items, and what an error calls that type.
+# Every loss and every scheme; the rest as the class that owns the setting has it.
+_SETTINGS = {
+    "losses": (list(_VALID), list, str, "a list of names"),
+    "epsilon": (LossKind.epsilon, None, _REAL, "a number"),
+    "schemes": (list(_DISPATCH), list, str, "a list of names"),
+    "batch_size": (EpConfig.batch_size, None, int, "an integer"),
+    "sweeps": (EpConfig.n_sweeps, None, (int, type(None)), "an integer or null"),
+    "mode": (EpConfig.mode, None, str, "a string"),
+    "beta": (EpConfig.beta, None, _REAL, "a number"),
+    "prior_variance": (PriorFactor.variance, None, _REAL, "a number"),
+    "out": ("results", None, str, "a string"),
+    "timing_repetitions": (RunConfig.timing_repetitions, None, int, "an integer"),
+    "cost_every": (EpConfig.cost_every, None, int, "an integer"),
+    "references": (RunConfig.with_references, None, bool, "true or false"),
+    "gamma": (SchemeKind.gamma, None, _REAL + (type(None),), "a number or null"),
+    "newton_tol": (SchemeKind.newton_tol, None, _REAL, "a number"),
 }
+_DATASET = {
+    "path": (_REQUIRED, None, str, "a string"),
+    "label": (_REQUIRED, None, _COLUMN, "a column name or position"),
+    "label_map": (_REQUIRED, dict, int, "an object of integers"),
+    "numeric": ([], list, _COLUMN, "a list of columns"),
+    "categorical": ([], list, _COLUMN, "a list of columns"),
+    "has_header": (ColumnSchema.has_header, None, bool, "true or false"),
+    "name": (None, None, (str, type(None)), "a string or null"),
+}
+# each flag and the config key it overrides
+_FLAGS = {"loss": "losses", "scheme": "schemes", "batch_size": "batch_size",
+          "sweeps": "sweeps", "mode": "mode", "out": "out"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,69 +129,14 @@ def _split_names(values):
 def _load_config_file(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise _UsageError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise _UsageError(f"config file is not valid JSON: {exc}") from exc
-
-
-def _resolve_dataset(cfg: dict):
-    """Dataset path + schema from a config's ``dataset`` section (or the bundled one).
-
-    Every key is typed here, before any data is read; a bad or missing one
-    is a usage error naming it as ``dataset.<key>``.
-    """
-    section = cfg.get("dataset")
-    if section is None:
-        return bundled_synthetic_path(), bundled_synthetic_schema(), "synthetic306"
-    if not isinstance(section, dict):
-        raise _UsageError(f"config key 'dataset' must be an object, not {section!r}")
-    unknown = set(section) - set(_DATASET_KEYS)
-    if unknown:
-        raise _UsageError(f"unknown dataset keys: {', '.join(sorted(unknown))}")
-    d = {"dataset.numeric": [], "dataset.categorical": [], "dataset.has_header": True,
-         "dataset.name": None}
-    d.update((f"dataset.{k}", v) for k, v in section.items())
-    try:
-        path = _typed(d, "dataset.path", str, "a string")
-        schema = ColumnSchema(
-            label=_typed(d, "dataset.label", _COLUMN, "a column name or position"),
-            label_map=_typed_items(d, "dataset.label_map", dict, int, "an object of integers"),
-            numeric=_typed_items(d, "dataset.numeric", list, _COLUMN, "a list of columns"),
-            categorical=_typed_items(d, "dataset.categorical", list, _COLUMN,
-                                     "a list of columns"),
-            has_header=_typed(d, "dataset.has_header", bool, "true or false"),
-        )
-        name = _typed(d, "dataset.name", (str, type(None)), "a string or null")
-    except KeyError as exc:
-        raise _UsageError(f"config key {exc} is missing") from exc
-    except ValueError as exc:
-        raise _UsageError(f"bad dataset section in config: {exc}") from exc
-    if path == "bundled:synthetic":
-        path = bundled_synthetic_path()
-    return path, schema, name or Path(str(path)).stem
-
-
-def _merged_settings(args, cfg: dict) -> dict:
-    settings = dict(_DEFAULTS)
-    unknown = set(cfg) - set(_DEFAULTS) - {"dataset"}
-    if unknown:
-        raise _UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    settings.update(cfg)
-    if args.loss:
-        settings["losses"] = _split_names(args.loss)
-    if getattr(args, "scheme", None):
-        settings["schemes"] = _split_names(args.scheme)
-    if getattr(args, "batch_size", None) is not None:
-        settings["batch_size"] = args.batch_size
-    if getattr(args, "sweeps", None) is not None:
-        settings["sweeps"] = args.sweeps
-    if getattr(args, "mode", None):
-        settings["mode"] = args.mode
-    if args.out:
-        settings["out"] = args.out
-    return settings
+    if not isinstance(cfg, dict):
+        raise _UsageError(f"config file must hold a JSON object, not {cfg!r}")
+    return cfg
 
 
 def _is(value, kind) -> bool:
@@ -184,65 +145,78 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-def _typed(s: dict, key: str, kind, what: str):
-    """The settings' ``key``, which must be a ``kind``; a bool is no integer."""
-    value = s[key]
-    if not _is(value, kind):
-        raise _UsageError(f"config key {key!r} must be {what}, not {value!r}")
-    return value
+def _checked(section: dict, table: dict, prefix: str, what: str) -> dict:
+    """Every key of ``table``, read from ``section`` or else its default.
+
+    An unknown, missing or mistyped key is a usage error naming it as
+    ``<prefix><key>``; ``what`` names the section's unknown keys.
+    """
+    unknown = set(section) - set(table)
+    if unknown:
+        raise _UsageError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+    checked = {}
+    for key, (default, container, kind, phrase) in table.items():
+        value = section.get(key, default)
+        if value is _REQUIRED:
+            raise _UsageError(f"config key {prefix + key!r} is missing")
+        if container is None:
+            typed = _is(value, kind)
+        else:
+            items = value.values() if isinstance(value, dict) else value
+            typed = isinstance(value, container) and all(_is(v, kind) for v in items)
+        if not typed:
+            raise _UsageError(f"config key {prefix + key!r} must be {phrase}, not {value!r}")
+        checked[key] = value
+    return checked
 
 
-def _names(s: dict, key: str) -> list:
-    """The settings' ``key``, which must be a list of names."""
-    return _typed_items(s, key, list, str, "a list of names")
-
-
-def _typed_items(s: dict, key: str, container, kind, what: str):
-    """The settings' ``key``: a ``container`` (list or dict) whose items, or
-    values, are each a ``kind`` as ``_typed`` reads it."""
-    value = s[key]
-    items = value.values() if isinstance(value, dict) else value
-    if not (isinstance(value, container) and all(_is(v, kind) for v in items)):
-        raise _UsageError(f"config key {key!r} must be {what}, not {value!r}")
-    return value
-
-
-def _losses_and_prior(s: dict):
-    """The settings' losses and prior; a bad value is a usage error."""
+def _resolve_dataset(cfg: dict):
+    """Dataset path, schema and name from a config's ``dataset`` section (or
+    the bundled table's), checked before any data is read."""
+    section = cfg.get("dataset")
+    if section is None:
+        return bundled_synthetic_path(), bundled_synthetic_schema(), "synthetic306"
+    if not isinstance(section, dict):
+        raise _UsageError(f"config key 'dataset' must be an object, not {section!r}")
+    keys = _checked(section, _DATASET, "dataset.", "dataset")
+    path, name = keys.pop("path"), keys.pop("name")
     try:
-        epsilon = float(_typed(s, "epsilon", _REAL, "a number"))
-        losses = tuple(loss_from_name(n, epsilon=epsilon) for n in _names(s, "losses"))
-        return losses, PriorFactor(variance=float(_typed(s, "prior_variance", _REAL, "a number")))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _UsageError(str(exc)) from exc
+        schema = ColumnSchema(**keys)
+    except ValueError as exc:
+        raise _UsageError(f"bad dataset section in config: {exc}") from exc
+    if path == "bundled:synthetic":
+        path = bundled_synthetic_path()
+    return path, schema, name or Path(path).stem
 
 
 def _build_run_config(args) -> RunConfig:
+    """The RunConfig of the config file and the flags, which override it;
+    both ``run`` and ``reference`` read it, so both reject the same values."""
     cfg = _load_config_file(args.config) if args.config else {}
     path, schema, name = _resolve_dataset(cfg)
-    s = _merged_settings(args, cfg)
-    losses, prior = _losses_and_prior(s)
+    settings = {k: v for k, v in cfg.items() if k != "dataset"}
+    for flag, key in _FLAGS.items():
+        value = getattr(args, flag, None)  # ``reference`` has no protocol flags
+        if value not in (None, ""):
+            settings[key] = _split_names(value) if key in ("losses", "schemes") else value
+    s = _checked(settings, _SETTINGS, "", "config")
     try:
-        newton_tol = float(_typed(s, "newton_tol", _REAL, "a number"))
-        gamma = _typed(s, "gamma", _REAL + (type(None),), "a number or null")
-        schemes = tuple(
-            SchemeKind(n, newton_tol=newton_tol, gamma=gamma) for n in _names(s, "schemes")
-        )
         return RunConfig(
             dataset_path=path,
             schema=schema,
-            losses=losses,
-            schemes=schemes,
-            out_dir=_typed(s, "out", str, "a string"),
+            losses=tuple(loss_from_name(n, epsilon=float(s["epsilon"])) for n in s["losses"]),
+            prior=PriorFactor(variance=float(s["prior_variance"])),
+            schemes=tuple(SchemeKind(n, newton_tol=float(s["newton_tol"]), gamma=s["gamma"])
+                          for n in s["schemes"]),
+            out_dir=s["out"],
             dataset_name=name,
-            batch_size=_typed(s, "batch_size", int, "an integer"),
-            n_sweeps=_typed(s, "sweeps", (int, type(None)), "an integer or null"),
+            batch_size=s["batch_size"],
+            n_sweeps=s["sweeps"],
             mode=s["mode"],
-            beta=float(_typed(s, "beta", _REAL, "a number")),
-            prior=prior,
-            cost_every=_typed(s, "cost_every", int, "an integer"),
-            timing_repetitions=_typed(s, "timing_repetitions", int, "an integer"),
-            with_references=_typed(s, "references", bool, "true or false"),
+            beta=float(s["beta"]),
+            cost_every=s["cost_every"],
+            timing_repetitions=s["timing_repetitions"],
+            with_references=s["references"],
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise _UsageError(str(exc)) from exc
@@ -271,14 +245,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_reference(args) -> int:
-    cfg = _load_config_file(args.config) if args.config else {}
-    path, schema, name = _resolve_dataset(cfg)
-    s = _merged_settings(args, cfg)
-    losses, prior = _losses_and_prior(s)
-    out = Path(_typed(s, "out", str, "a string"))
-    dataset = preprocess(load_csv(path, schema), name=name)
+    config = _build_run_config(args)
+    dataset = preprocess(load_csv(config.dataset_path, config.schema), name=config.dataset_name)
     try:
-        refs = _compute_references(dataset, losses, prior)
+        refs = _compute_references(dataset, config.losses, config.prior)
     except RuntimeError as exc:
         failure = {"stage": "reference", "error": str(exc)}  # as ``ffep run`` reports it
         print(f"FAILED: {failure}", file=sys.stderr)
@@ -287,10 +257,11 @@ def _cmd_reference(args) -> int:
         gap = "n/a" if ref["duality_gap"] is None else f"{ref['duality_gap']:.2e}"
         print(f"{loss_name:>8s}  cost={ref['cost']:.6f}  converged={ref['converged']}  "
               f"duality_gap={gap}")
+    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "references.json"
     with open(target, "w") as fh:
-        json.dump({"dataset": name, "references": refs}, fh, indent=2)
+        json.dump({"dataset": config.dataset_name, "references": refs}, fh, indent=2)
     print(f"wrote {target}")
     return 0
 

@@ -499,7 +499,9 @@ class TestRunExperiment:
     def test_final_cost_is_the_cost_at_the_final_mean(self, small_csv, tmp_path,
                                                       monkeypatch, cost_every):
         """final_cost, read from the trace, equals total_cost at the run's
-        final posterior mean bit for bit, also when the trace is thinned."""
+        final posterior mean bit for bit, also when the trace is thinned, and
+        so do both costs with the prior term: the run's at its final mean,
+        each reference's at its theta."""
         finals = {}
         real = bench.ep_run
 
@@ -518,7 +520,6 @@ class TestRunExperiment:
             prior=PRIOR,
             cost_every=cost_every,
             timing_repetitions=1,
-            with_references=False,
         )
         manifest = run_experiment(config)
         assert len(manifest["runs"]) == 12
@@ -526,6 +527,11 @@ class TestRunExperiment:
             loss, mean, dataset = finals[run["loss"], run["scheme"]]
             assert run["final_cost"] == total_cost(mean, dataset, loss)
             assert run["final_cost_with_prior"] == total_cost(mean, dataset, loss, PRIOR)
+        assert manifest["references"].keys() == {"logistic", "hinge", "quasi01"}
+        for loss in config.losses:
+            ref = manifest["references"][loss.name]
+            assert ref["cost"] == total_cost(ref["theta"], dataset, loss)
+            assert ref["cost_with_prior"] == total_cost(ref["theta"], dataset, loss, PRIOR)
 
     def test_reference_computation_can_be_disabled(self, small_csv, tmp_path):
         config = RunConfig(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import ffep
-from ffep import cli
+from ffep import bench, cli
 from ffep.bench import RunConfig
 from ffep.cli import main
 from ffep.engine import EpConfig
@@ -132,6 +132,14 @@ class TestRunCommand:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("command", ["run", "reference"])
+    def test_config_file_that_is_no_object_is_a_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "ffep: error: config file must hold a JSON object, not [1, 2]\n")
+
     def test_missing_dataset_file_is_a_data_error(self, tmp_path, small_csv, capsys):
         cfg = write_config(tmp_path, small_csv)
         small_csv.unlink()
@@ -150,9 +158,14 @@ class TestRunCommand:
         manifest = json.loads((tmp_path / "results" / "manifest.json").read_text())
         assert manifest["dataset"]["n_examples"] == 40
 
-    def test_failed_runs_exit_with_code_three(self, tmp_path, small_csv, capsys):
-        # Batches larger than the 40-row table fail every run, once it is read.
-        cfg = write_config(tmp_path, small_csv, batch_size=41)
+    def test_failed_runs_exit_with_code_three(self, tmp_path, small_csv, capsys,
+                                              monkeypatch):
+        def failing(config, dataset):
+            raise RuntimeError("internal error: global approximation drifted from the "
+                               "message product")
+
+        monkeypatch.setattr(bench, "ep_run", failing)
+        cfg = write_config(tmp_path, small_csv)
         assert main(["run", "--config", str(cfg)]) == 3
         assert "FAILED" in capsys.readouterr().err
 
@@ -231,7 +244,7 @@ class TestReferenceCommand:
         assert (tmp_path / "results" / "references.json").exists()
 
 
-# (id, flags, config overrides, message): settings both subcommands read
+# (id, flags, config overrides, message): settings both subcommands check
 BAD_SETTINGS = [
     ("unknown-loss", ["--loss", "foo"], {}, "unknown loss 'foo'"),
     ("zero-epsilon", [], {"losses": ["quasi01"], "epsilon": 0}, "epsilon must be positive"),
@@ -272,15 +285,9 @@ BAD_SETTINGS = [
      "unknown dataset keys: has_headr"),
     ("dataset-not-an-object", [], {"dataset": "small.csv"},
      "config key 'dataset' must be an object, not 'small.csv'"),
-]
-# settings only ``ffep run`` reads: the schemes and the EP protocol
-BAD_RUN_SETTINGS = [
-    ("zero-batch-size", ["--batch-size", "0"], {}, "batch_size must be at least 1"),
-    ("zero-sweeps", ["--sweeps", "0"], {}, "n_sweeps must be at least 1"),
+    # the schemes and the EP protocol, which ``reference`` checks but does not use
     ("zero-beta", [], {"beta": 0}, "beta must be positive"),
     ("zero-cost-every", [], {"cost_every": 0}, "cost_every must be at least 1"),
-    ("streaming-sweeps", ["--mode", "streaming", "--sweeps", "3"], {},
-     "streaming mode is a single pass"),
     ("string-gamma", [], {"gamma": "x"}, "'gamma' must be a number or null, not 'x'"),
     ("bool-gamma", [], {"gamma": True}, "'gamma' must be a number or null, not True"),
     ("bool-beta", [], {"beta": True}, "'beta' must be a number, not True"),
@@ -303,6 +310,14 @@ BAD_RUN_SETTINGS = [
      "'references' must be true or false, not 'no'"),
     ("integer-references", [], {"references": 0},
      "'references' must be true or false, not 0"),
+    ("int-mode", [], {"mode": 5}, "config key 'mode' must be a string, not 5"),
+]
+# flags only ``ffep run`` has: its batch size, sweeps and mode
+BAD_RUN_FLAGS = [
+    ("zero-batch-size", ["--batch-size", "0"], {}, "batch_size must be at least 1"),
+    ("zero-sweeps", ["--sweeps", "0"], {}, "n_sweeps must be at least 1"),
+    ("streaming-sweeps", ["--mode", "streaming", "--sweeps", "3"], {},
+     "streaming mode is a single pass"),
 ]
 
 
@@ -315,7 +330,7 @@ class TestBadSettingsAreUsageErrors:
         for command in ("run", "reference")
     ] + [
         pytest.param("run", flags, overrides, message, id=f"{name}-run")
-        for name, flags, overrides, message in BAD_RUN_SETTINGS
+        for name, flags, overrides, message in BAD_RUN_FLAGS
     ])
     def test_exits_one_with_a_message(self, tmp_path, small_csv, capsys,
                                       command, flags, overrides, message):
@@ -328,7 +343,8 @@ class TestBadSettingsAreUsageErrors:
 
 
 class TestTooFewRowsIsADataError:
-    """A table with fewer than two usable rows cannot be standardized."""
+    """A table with fewer than two usable rows cannot be standardized, and
+    ``ffep run`` cannot batch one with fewer usable rows than ``batch_size``."""
 
     @pytest.mark.parametrize("command", ["run", "reference"])
     def test_one_row_table_exits_two(self, tmp_path, small_csv, capsys, command):
@@ -338,6 +354,24 @@ class TestTooFewRowsIsADataError:
         err = capsys.readouterr().err
         assert err.startswith("ffep: data error: ")
         assert "need at least 2 usable rows" in err
+
+    def test_fewer_rows_than_batch_size_fails_run_before_any_reference(
+            self, tmp_path, small_csv, capsys, monkeypatch):
+        def no_references(*args):
+            raise AssertionError("references computed before the batch size was checked")
+
+        monkeypatch.setattr(bench, "_compute_references", no_references)
+        cfg = write_config(tmp_path, small_csv, batch_size=41)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "ffep: data error: small: batch_size 41 needs at least as many usable rows, "
+            "not 40\n")
+        assert not any((tmp_path / "results").rglob("*.csv"))
+
+    def test_reference_never_batches(self, tmp_path, small_csv):
+        cfg = write_config(tmp_path, small_csv, batch_size=41)
+        assert main(["reference", "--config", str(cfg)]) == 0
+        assert (tmp_path / "results" / "references.json").exists()
 
 
 class TestNonFiniteValueIsADataError:
@@ -378,6 +412,14 @@ class TestOverflowingColumnIsADataError:
         assert err.startswith("ffep: data error: ")
         assert "column 'age' overflows" in err
         assert not any((tmp_path / "results").rglob("*.json"))
+
+
+def test_readme_config_lists_every_key_at_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = json.loads(readme.split("A config file is")[1].split("```json\n")[1]
+                         .split("```")[0])
+    del example["dataset"]
+    assert example == {key: row[0] for key, row in cli._SETTINGS.items()}
 
 
 class TestReportCommand:
