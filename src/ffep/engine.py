@@ -6,8 +6,9 @@ Two modes share one code path:
   message from the global approximation (the cavity), refits it, and folds
   the refreshed message back in.  The default is five full sweeps.  The K
   messages live in (K, d) natural-parameter arrays plus a (K,) log-scale
-  vector, and after every applied visit the posterior is checked against
-  the prior times their column sums (relative and absolute tolerance 1e-9).
+  vector.  At the end of every sweep the posterior is checked against the
+  prior times their column sums, up to the rounding a running sum can carry
+  (see ``_check_product``); a drift raises at the end of its sweep.
 * streaming - a single pass with no message storage: the cavity is simply
   the current posterior, and each factor's message is multiplied in once.
   Because removing a unit message subtracts exact zeros, a streaming run is
@@ -74,6 +75,7 @@ __all__ = [
 
 # posterior precisions at or below this floor count as improper for gating
 _PRECISION_FLOOR = 1e-12
+# the product check's tolerance, per unit of magnitude summed (_check_product)
 _PRODUCT_TOL = 1e-9
 # float64 values in one block of classification_costs' margins (2 MB), so
 # that a block stays in a core's L2 cache while the loss reads it back
@@ -153,7 +155,8 @@ class EpState:
 
     def message(self, k: int) -> DiagGaussian:
         """Factor k's stored message (its arrays are views of the store)."""
-        return DiagGaussian(self.log_scale[k], self.linear[k], self.neg_half_precision[k])
+        return DiagGaussian(float(self.log_scale[k]), self.linear[k],
+                            self.neg_half_precision[k])
 
     def store(self, k: int, msg: DiagGaussian):
         self.linear[k] = msg.linear
@@ -224,26 +227,36 @@ def gate_update(cavity: DiagGaussian, candidate: DiagGaussian) -> DiagGaussian |
     if not candidate.is_finite():
         return None
     posterior = multiply(cavity, candidate)
-    return posterior if (posterior.precision > _PRECISION_FLOOR).all() else None
+    return posterior if posterior.precision.min() > _PRECISION_FLOOR else None
 
 
-def _close(a, b) -> bool:
-    """np.allclose(a, b) at _PRODUCT_TOL, written out: NaN or inf never passes."""
-    return bool((np.abs(a - b) <= _PRODUCT_TOL + _PRODUCT_TOL * np.abs(b)).all())
+def _abs_naturals(g: DiagGaussian):
+    return abs(g.log_scale), np.abs(g.linear), np.abs(g.neg_half_precision)
 
 
-def _check_product(state: EpState, prior_msg: DiagGaussian):
+def _check_product(state: EpState, prior_msg: DiagGaussian, hist):
+    """Raise unless the posterior is the prior times the stored messages.
+
+    The posterior is a running sum, updated one visit at a time, so it
+    carries the rounding of every value it has held.  ``hist`` is, per
+    component (log scale, linear, neg_half_precision), the |naturals| of the
+    prior plus those of the posterior after every applied visit.  A
+    component passes where |g - (prior + sum rows)| is at most
+    _PRODUCT_TOL * (1 + hist + sum |rows|), the standard bound on a
+    recursive sum's rounding (Higham, 2002, sec. 4.2) with a wide margin;
+    NaN or inf never passes.
+    """
     g = state.global_approx
-    ok = (
-        _close(g.linear, prior_msg.linear + state.linear.sum(axis=0))
-        and _close(g.neg_half_precision,
-                   prior_msg.neg_half_precision + state.neg_half_precision.sum(axis=0))
-        and _close(g.log_scale, prior_msg.log_scale + state.log_scale.sum())
-    )
-    if not ok:
-        raise RuntimeError(
-            "internal error: global approximation drifted from the message product"
-        )
+    parts = ((g.log_scale, prior_msg.log_scale, state.log_scale),
+             (g.linear, prior_msg.linear, state.linear),
+             (g.neg_half_precision, prior_msg.neg_half_precision, state.neg_half_precision))
+    for (value, prior, rows), h in zip(parts, hist):
+        drift = np.abs(value - (prior + rows.sum(axis=0)))
+        bound = _PRODUCT_TOL * (1.0 + h + np.abs(rows).sum(axis=0))
+        if not ((drift <= bound).all() and np.isfinite(drift).all()):
+            raise RuntimeError(
+                "internal error: global approximation drifted from the message product"
+            )
 
 
 def classification_costs(thetas, dataset: Dataset, loss: LossKind) -> np.ndarray:
@@ -303,6 +316,7 @@ def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
     prior_msg = prior_as_message(config.prior, dim)
     looping = config.mode == "looping"
     state = EpState.start(prior_msg, len(factors) if looping else None)
+    hist = _abs_naturals(prior_msg)  # the product check's rounding history
     trace = EpTrace()
 
     elapsed = 0.0
@@ -332,7 +346,7 @@ def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
             if status == "applied":
                 cost_stale = True
                 if looping:
-                    _check_product(state, prior_msg)
+                    hist = [h + a for h, a in zip(hist, _abs_naturals(state.global_approx))]
             slot = -2
             if cost_fn is not None and (visit % config.cost_every == 0 or visit == n_total):
                 if cost_stale:
@@ -340,6 +354,8 @@ def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
                     cost_stale = False
                 slot = len(means) - 1
             visits.append((status, slot, elapsed * 1000.0))
+        if looping:
+            _check_product(state, prior_msg, hist)
 
         # cost slot -2: none due (NaN); -1: the cost carried in from an
         # earlier sweep; i >= 0: the cost of means[i], the last one alone

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import DiagGaussian, eval_log
-from .losses import LossKind, loss_derivatives, loss_value
+from .losses import LossKind, loss_derivatives, loss_kinks, loss_value
 
 __all__ = [
     "PriorFactor",
@@ -64,9 +64,10 @@ class BoundFactor:
         self.Z = dataset.labels[batch, None] * dataset.features[batch]
         self.loss = loss
         self.beta = beta
+        self._kinked = loss_kinks(loss) is not None
 
     def log_value(self, theta) -> float:
-        return -self.beta * float(np.sum(loss_value(self.loss, self.Z @ theta)))
+        return -self.beta * float(loss_value(self.loss, self.Z @ theta).sum())
 
     def log_value_many(self, thetas) -> np.ndarray:
         return -self.beta * np.sum(loss_value(self.loss, thetas @ self.Z.T), axis=1)
@@ -74,6 +75,8 @@ class BoundFactor:
     def log_grad_hessdiag(self, theta):
         d1, d2 = loss_derivatives(self.loss, self.Z @ theta)
         grad = -self.beta * (self.Z.T @ d1)
+        if self._kinked:  # a piecewise-linear loss has no curvature
+            return grad, np.zeros(grad.size)
         # Z * Z equals X * X, since every label is +1 or -1
         hessdiag = -self.beta * ((self.Z * self.Z).T @ d2)
         return grad, hessdiag

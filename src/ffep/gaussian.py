@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 class ImproperGaussianError(ValueError):
     """A moment view was requested from a non-integrable Gaussian form."""
 
@@ -61,6 +64,12 @@ class DiagGaussian:
     neg_half_precision: np.ndarray
 
     def __post_init__(self):
+        lin, nhp = self.linear, self.neg_half_precision
+        if (type(self.log_scale) is float and type(lin) is np.ndarray
+                and type(nhp) is np.ndarray and lin.dtype is _FLOAT64
+                and nhp.dtype is _FLOAT64 and lin.ndim == 1 and lin.shape == nhp.shape
+                and lin.size):
+            return  # already canonical, as the algebra below builds it
         lin = np.asarray(self.linear, dtype=float).reshape(-1)
         nhp = np.asarray(self.neg_half_precision, dtype=float).reshape(-1)
         if lin.size < 1:
@@ -92,7 +101,7 @@ class DiagGaussian:
 
     @property
     def is_proper(self) -> bool:
-        return bool((self.neg_half_precision < 0).all())
+        return bool(self.neg_half_precision.max() < 0)
 
     @property
     def precision(self) -> np.ndarray:
@@ -161,11 +170,14 @@ def _from_checked_mean_var(mean, var, log_mass, log_shifts=()) -> DiagGaussian:
     """The Gaussian of from_mean_var, for 1-D float arrays with var > 0.
 
     Each of ``log_shifts`` is then added to the log scale, one at a time.
+    A variance so small that its precision overflows gives a non-finite
+    Gaussian, without a warning; the gate rejects it as a message.
     """
-    log_scale = log_mass - 0.5 * float((np.log(2.0 * np.pi * var) + mean**2 / var).sum())
-    for shift in log_shifts:
-        log_scale += shift
-    return DiagGaussian(log_scale, mean / var, -0.5 / var)
+    with np.errstate(over="ignore"):
+        log_scale = log_mass - 0.5 * float((np.log(2.0 * np.pi * var) + mean**2 / var).sum())
+        for shift in log_shifts:
+            log_scale += shift
+        return DiagGaussian(log_scale, mean / var, -0.5 / var)
 
 
 def moments_to_natural(m0, m1, m2, log_shifts=()) -> DiagGaussian:

@@ -81,12 +81,14 @@ def loss_value(kind: LossKind, a):
     if kind.name == "logistic":
         # log(1 + exp(-a)) = log1p(exp(-|a|)) - min(a, 0): exp cannot
         # overflow, and it is several times faster than np.logaddexp.  It
-        # works in place on a flat array (so a 0-d input stays an array),
-        # holding no more temporaries than np.logaddexp(0, -a) does.
-        out = -np.abs(a.reshape(-1))
+        # works in one buffer on a flat array (so a 0-d input stays an
+        # array), plus the temporary min(a, 0).
+        flat = a.reshape(-1)
+        out = np.abs(flat)
+        np.negative(out, out=out)
         np.exp(out, out=out)
         np.log1p(out, out=out)
-        out -= np.minimum(a.reshape(-1), 0.0)
+        out -= np.minimum(flat, 0.0)
         out = out.reshape(a.shape)
     elif kind.name == "hinge":
         out = np.maximum(0.0, 1.0 - a)

@@ -176,7 +176,7 @@ def _taylor_message(theta, value, grad, hessdiag) -> DiagGaussian:
     # log g(theta') = value + grad.(theta'-theta) + 1/2 (theta'-theta)^T H (theta'-theta)
     nhp = 0.5 * hessdiag
     linear = grad - hessdiag * theta
-    log_scale = value - float(grad @ theta) + 0.5 * float(hessdiag @ (theta * theta))
+    log_scale = float(value) - float(grad @ theta) + 0.5 * float(hessdiag @ (theta * theta))
     return DiagGaussian(log_scale, linear, nhp)
 
 

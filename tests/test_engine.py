@@ -18,15 +18,15 @@ from ffep.engine import (
     EpState,
     SweepRecord,
     TraceRecord,
+    _abs_naturals,
     _check_product,
-    _close,
     classification_costs,
     ep_run,
     ep_run_factors,
     gate_update,
 )
 from ffep.factors import GaussianFactor, PriorFactor, prior_as_message
-from ffep.gaussian import DiagGaussian, multiply
+from ffep.gaussian import DiagGaussian, moments_to_natural, multiply
 from ffep.ingest import Dataset, RawTable, preprocess
 from ffep.losses import hinge, logistic, loss_value, quasi01
 from ffep.schemes import SchemeFailure, SchemeKind
@@ -167,6 +167,14 @@ class TestGateUpdate:
         candidate = DiagGaussian(0.0, np.array([np.inf]), np.array([-0.1]))
         assert gate_update(cavity, candidate) is None
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_an_overflowing_moment_match_without_a_warning(self):
+        # a tilted variance so small that its precision overflows to inf
+        candidate = moments_to_natural(1.0, [0.0], [1e-320])
+        assert not candidate.is_finite()
+        cavity = DiagGaussian.from_mean_var([0.0], [1.0])
+        assert gate_update(cavity, candidate) is None
+
 
 class TestConjugateFixedPoint:
     def test_single_gaussian_factor_worked_example(self):
@@ -256,12 +264,12 @@ class TestEngineMechanics:
         prior = PriorFactor(variance=25.0)
         state, _ = ep_run(config("qla", batch_size=5, prior=prior, n_sweeps=2), ds)
         prior_msg = prior_as_message(prior, 2)
-        _check_product(state, prior_msg)
+        _check_product(state, prior_msg, _abs_naturals(prior_msg))
 
         g = state.global_approx
         state.global_approx = replace(g, **{field: getattr(g, field) + 1e-6})
         with pytest.raises(RuntimeError, match="drifted from the message product"):
-            _check_product(state, prior_msg)
+            _check_product(state, prior_msg, _abs_naturals(prior_msg))
 
     @pytest.mark.parametrize("field", ["linear", "neg_half_precision", "log_scale"])
     def test_product_check_raises_on_drift_in_a_stored_row(self, field):
@@ -270,32 +278,89 @@ class TestEngineMechanics:
         prior = PriorFactor(variance=25.0)
         state, _ = ep_run(config("qla", batch_size=5, prior=prior, n_sweeps=2), ds)
         prior_msg = prior_as_message(prior, 2)
-        _check_product(state, prior_msg)
+        _check_product(state, prior_msg, _abs_naturals(prior_msg))
 
         getattr(state, field)[2] += 1e-6
         with pytest.raises(RuntimeError, match="drifted from the message product"):
-            _check_product(state, prior_msg)
+            _check_product(state, prior_msg, _abs_naturals(prior_msg))
 
-    def test_closeness_is_np_allclose_on_finite_values(self):
-        rng = np.random.default_rng(44)
-        b = rng.normal(scale=10.0, size=2000)
-        # offsets straddle the tolerance 1e-9 * (1 + |b|) on either side
-        a = b + rng.choice([-1.0, 1.0], size=b.size) * 1e-9 * (1.0 + np.abs(b)) \
-            * rng.uniform(0.99, 1.01, size=b.size)
-        got = [_close(x, y) for x, y in zip(a, b)]
-        ref = [np.allclose(x, y, rtol=1e-9, atol=1e-9) for x, y in zip(a, b)]
-        assert got == ref
-        assert 0 < sum(got) < len(got)
-        assert _close(a[np.array(got)], b[np.array(got)])
-        assert not _close(a, b)
+    def test_product_check_bound_counts_the_rounding_history(self):
+        # per component: |g - (prior + sum rows)| <= 1e-9 * (1 + hist + sum |rows|)
+        prior_msg = prior_as_message(PriorFactor(variance=25.0), 2)
+        state = EpState.start(prior_msg, 3)
+        rows = np.array([[1.0, -2.0], [3.0, 0.5], [-4.0, 1.0]])
+        state.linear[:] = rows
+        state.neg_half_precision[:] = rows / 8.0
+        state.log_scale[:] = rows[:, 0]
+        stored = (state.log_scale, state.linear, state.neg_half_precision)
+        exact = [p + r.sum(axis=0) for p, r in zip(
+            (prior_msg.log_scale, prior_msg.linear, prior_msg.neg_half_precision), stored)]
+
+        for component in range(3):
+            hist = [h + 1000.0 for h in _abs_naturals(prior_msg)]
+            bound = 1e-9 * (1.0 + hist[component] + np.abs(stored[component]).sum(axis=0))
+
+            def drifted_by(offset):
+                naturals = list(exact)
+                naturals[component] = naturals[component] + offset
+                state.global_approx = DiagGaussian(*naturals)
+
+            drifted_by(0.0)
+            _check_product(state, prior_msg, hist)
+            drifted_by(-bound * (1.0 - 1e-4))
+            _check_product(state, prior_msg, hist)
+            with pytest.raises(RuntimeError, match="drifted"):
+                _check_product(state, prior_msg, _abs_naturals(prior_msg))  # too far without it
+            drifted_by(bound * (1.0 + 1e-4))
+            with pytest.raises(RuntimeError, match="drifted"):
+                _check_product(state, prior_msg, hist)
+            for bad in (np.nan, np.inf):
+                drifted_by(bad)
+                hist[component] = hist[component] + np.inf  # as if the run had held it
+                with pytest.raises(RuntimeError, match="drifted"):
+                    _check_product(state, prior_msg, hist)
+
+    def test_product_check_runs_once_per_looping_sweep(self, monkeypatch):
+        calls = []
+        real = engine._check_product
+        monkeypatch.setattr(engine, "_check_product",
+                            lambda *args: calls.append(real(*args)))
+        ds = random_dataset(np.random.default_rng(43), 20, 2)
+        ep_run(config("qla", batch_size=5, n_sweeps=3), ds)
+        assert len(calls) == 3
+        calls.clear()
+        ep_run(config("qla", batch_size=5, mode="streaming"), ds)
+        assert calls == []
+
+    def test_drift_in_a_stored_row_raises_at_the_end_of_its_sweep(self, monkeypatch):
+        stores, checks = [], []
+        real_store, real_check = EpState.store, engine._check_product
+
+        def store(self, k, msg):
+            real_store(self, k, msg)
+            stores.append(k)
+            if len(stores) == 6:  # the second sweep's second visit
+                self.linear[k] += 1e-6
+
+        def check(*args):
+            checks.append(len(stores))
+            real_check(*args)
+
+        monkeypatch.setattr(EpState, "store", store)
+        monkeypatch.setattr(engine, "_check_product", check)
+        ds = random_dataset(np.random.default_rng(43), 20, 2)
+        with pytest.raises(RuntimeError, match="drifted from the message product"):
+            ep_run(config("qla", batch_size=5, n_sweeps=3), ds)
+        assert stores == [0, 1, 2, 3] * 2  # every visit of the sweep ran
+        assert checks == [4, 8]
 
     def test_product_check_fails_on_nan(self):
         prior_msg = prior_as_message(PriorFactor(variance=25.0), 2)
         state = EpState.start(prior_msg, 3)
-        _check_product(state, prior_msg)
+        _check_product(state, prior_msg, _abs_naturals(prior_msg))
         state.linear[0, 1] = np.nan
         with pytest.raises(RuntimeError, match="drifted"):
-            _check_product(state, prior_msg)
+            _check_product(state, prior_msg, _abs_naturals(prior_msg))
 
     def test_gate_rejections_are_counted_and_skipped(self):
         # An improper Gaussian factor with quadratic coefficient +0.6 posts a

@@ -108,6 +108,21 @@ class TestDerivatives:
                 BoundFactor(ds, np.arange(12), loss), theta)
             np.testing.assert_array_equal(hessdiag, 0.0)
 
+    def test_kinked_curvature_is_exactly_zero_without_forming_it(self):
+        # the gradient is the free functions' -beta * Z^T d1, bit for bit, and
+        # the curvature +0.0 everywhere, kinks included
+        rng = np.random.default_rng(8)
+        ds = toy_dataset(rng)
+        Z = ds.labels[:, None] * ds.features
+        for loss in (hinge(), quasi01(), quasi01(0.5)):
+            factor = BoundFactor(ds, np.arange(12), loss, beta=1.5)
+            for theta in (rng.normal(size=ds.dim), np.zeros(ds.dim)):
+                grad, hessdiag = log_factor_grad_hessdiag(factor, theta)
+                d1, _ = loss_derivatives(loss, Z @ theta)
+                np.testing.assert_array_equal(grad, -1.5 * (Z.T @ d1))
+                assert hessdiag.shape == (ds.dim,)
+                assert not hessdiag.any() and not np.signbit(hessdiag).any()
+
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(4)
         ds = toy_dataset(rng)

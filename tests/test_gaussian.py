@@ -60,6 +60,41 @@ class TestConstruction:
             DiagGaussian(log_scale=0.0, linear=np.zeros(2),
                          neg_half_precision=np.zeros(3))
 
+    @pytest.mark.parametrize("log_scale, linear, nhp", [
+        (0, [1, 2], [-1, -2]),
+        (np.float64(0.5), np.array([1.0, 2.0]), np.array([-1.0, -2.0])),
+        (np.float64(0.5), np.array([[1.0], [2.0]]), np.array([[-1.0], [-2.0]])),
+        (np.float32(0.5), np.array([1, 2]), np.array([-1.0, -2.0], dtype=np.float32)),
+        (1.5, np.array([[1.0, 2.0]]), np.array([-1.0, -2.0])),
+        (-2.0, np.array([1.0, 2.0]).astype(">f8"), np.array([-1.0, -2.0])),
+    ])
+    def test_inputs_are_normalized_to_flat_float_arrays(self, log_scale, linear, nhp):
+        g = DiagGaussian(log_scale, linear, nhp)
+        assert type(g.log_scale) is float and g.log_scale == float(log_scale)
+        for got, given in ((g.linear, linear), (g.neg_half_precision, nhp)):
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert got.shape == (2,)
+            np.testing.assert_array_equal(got, np.ravel(given))
+
+    @pytest.mark.parametrize("linear, nhp", [
+        (np.zeros((2, 1)), np.zeros(3)),
+        ([0.0, 1.0], [0.0]),
+        (np.zeros(0), np.zeros(0)),
+        ([], []),
+    ])
+    def test_mismatched_or_empty_inputs_rejected(self, linear, nhp):
+        with pytest.raises(ValueError):
+            DiagGaussian(0.0, linear, nhp)
+
+    def test_canonical_inputs_are_kept_as_they_are(self):
+        lin, nhp = np.array([1.0, 2.0]), np.array([-1.0, -2.0])
+        g = DiagGaussian(0.5, lin, nhp)
+        assert g.linear is lin and g.neg_half_precision is nhp
+
+    def test_is_proper_is_false_on_nan(self):
+        assert not DiagGaussian(0.0, [0.0, 0.0], [-1.0, np.nan]).is_proper
+        assert DiagGaussian(0.0, [0.0, 0.0], [-1.0, -1e-300]).is_proper
+
     def test_improper_views_raise(self):
         message = DiagGaussian(log_scale=0.0, linear=np.array([1.0]),
                                neg_half_precision=np.array([0.5]))
