@@ -106,8 +106,8 @@ class EpConfig:
     def __post_init__(self):
         if self.mode not in ("looping", "streaming"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < np.inf:
+            raise ValueError("beta must be positive and finite")
         for name in ("batch_size", "n_sweeps", "cost_every"):
             value = getattr(self, name)
             if not (value is None and name == "n_sweeps"):

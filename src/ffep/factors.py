@@ -38,8 +38,8 @@ class PriorFactor:
     variance: float = 25.0
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError("prior variance must be positive")
+        if not 0 < self.variance < np.inf:
+            raise ValueError("prior variance must be positive and finite")
 
 
 def prior_as_message(prior: PriorFactor, d: int) -> DiagGaussian:
@@ -58,8 +58,8 @@ class BoundFactor:
     """
 
     def __init__(self, dataset, batch, loss: LossKind, beta: float = 1.0):
-        if not beta > 0:
-            raise ValueError("beta must be positive")
+        if not 0 < beta < np.inf:
+            raise ValueError("beta must be positive and finite")
         batch = np.asarray(batch, dtype=int).reshape(-1)  # example indices
         self.Z = dataset.labels[batch, None] * dataset.features[batch]
         self.loss = loss

@@ -18,6 +18,8 @@ Conventions:
 * a numeric token that parses to a non-finite number ("nan", "inf",
   "1e400") is a data error naming its row and column, and so is a column
   that overflows while ``preprocess`` centers and scales it, by name;
+* a schema naming its label column as a feature too is a data error naming
+  the label;
 * a constant raw column is all zeros after centering and is retained as-is
   (norm left at 0), preserving column indexing; a zero feature is inert in
   every loss.
@@ -131,10 +133,13 @@ def _resolve(col, names, row_len, where):
 
 
 def _columns(schema: ColumnSchema, names, width, where):
-    """Positions of the label, numeric and categorical columns."""
+    """Positions of the label, numeric and categorical columns; the label
+    column may not also be a feature."""
     label_i = _resolve(schema.label, names, width, where)
     numeric_i = [(_resolve(c, names, width, where), c) for c in schema.numeric]
     categ_i = [(_resolve(c, names, width, where), c) for c in schema.categorical]
+    if any(i == label_i for i, _ in numeric_i + categ_i):
+        raise DataLoadError(f"{where}: label column {schema.label!r} is also a feature column")
     return label_i, numeric_i, categ_i
 
 
@@ -174,8 +179,6 @@ def _load_block(path, schema: ColumnSchema) -> RawTable:
     names = [c.strip() for c in first] if schema.has_header else None
     label_i, numeric_i, _ = _columns(schema, names, len(data), str(path))
     numeric = [i for i, _ in numeric_i]
-    if label_i in numeric:
-        raise ValueError("the label column is also a feature column")
     label_map = schema.label_map
     block = np.loadtxt(
         path, delimiter=",", comments=None, ndmin=2,

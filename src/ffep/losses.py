@@ -8,10 +8,12 @@ the margin:
 * quasi 0-1      a continuous non-convex surrogate for the 0-1 loss,
                  piecewise linear with kinks at a = 0 and a = epsilon
 
-At a kink the derivative is defined as the half sum of its left and right
-limits, applied at exact floating-point equality with the kink location
-(no tolerance band).  The quasi 0-1 loss with epsilon = 1 coincides with the
-hinge loss.
+The two piecewise-linear losses are each described once, by the table
+``loss_kinks`` returns: their kink locations and the slope of every segment
+between them.  Their first derivative is looked up in that table; at a kink
+it is defined as the half sum of its left and right limits, applied at exact
+floating-point equality with the kink location (no tolerance band).  The
+quasi 0-1 loss with epsilon = 1 coincides with the hinge loss.
 
 All functions are vectorized: ``a`` may be a scalar or an ndarray and the
 result has the same shape.
@@ -39,8 +41,8 @@ class LossKind:
     def __post_init__(self):
         if self.name not in _VALID:
             raise ValueError(f"unknown loss {self.name!r}; expected one of {_VALID}")
-        if self.name == "quasi01" and not self.epsilon > 0:
-            raise ValueError("quasi01 epsilon must be positive")
+        if self.name == "quasi01" and not 0 < self.epsilon < np.inf:
+            raise ValueError("quasi01 epsilon must be positive and finite")
 
 
 def logistic() -> LossKind:
@@ -60,18 +62,20 @@ def loss_from_name(name: str, epsilon: float = LossKind.epsilon) -> LossKind:
     return LossKind(name, epsilon) if name == "quasi01" else LossKind(name)
 
 
-def loss_kinks(kind: LossKind) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """Shape of a piecewise-linear loss: (left slope, kink locations, jumps).
+def loss_kinks(kind: LossKind) -> tuple[np.ndarray, np.ndarray] | None:
+    """A piecewise-linear loss as its (kinks, slopes) table; None for logistic.
 
-    Left of its first kink the loss has slope ``left_slope``; crossing
-    ``kinks[j]`` from left to right adds ``jumps[j]`` to the slope.  None for
-    the smooth logistic loss.
+    ``kinks`` are the kink locations in increasing order and ``slopes`` the
+    loss's slope on each segment: ``slopes[j]`` left of ``kinks[j]``,
+    ``slopes[-1]`` past the last kink.  The slope at a margin a is
+    ``slopes[kinks.searchsorted(a)]``, searching from the left or the right
+    giving the two one-sided slopes, which differ only at a kink.
     """
     if kind.name == "hinge":
-        return -1.0, np.array([1.0]), np.array([1.0])
+        return np.array([1.0]), np.array([-1.0, 0.0])
     if kind.name == "quasi01":
         eps = kind.epsilon
-        return -eps, np.array([0.0, eps]), np.array([eps - 1.0 / eps, 1.0 / eps])
+        return np.array([0.0, eps]), np.array([-eps, -1.0 / eps, 0.0])
     return None
 
 
@@ -102,34 +106,21 @@ def loss_derivatives(kind: LossKind, a):
     """First and second derivative of the loss with respect to the margin.
 
     Piecewise-linear losses have identically zero second derivative; their
-    first derivative at a kink is the half sum of the one-sided limits.
+    first derivative is the half sum of the one-sided slopes of
+    ``loss_kinks``' table, which is the segment's slope away from a kink.
     """
     a = np.asarray(a, dtype=float)
-    if kind.name == "logistic":
+    table = loss_kinks(kind)
+    if table is None:
         # sigmoid(-a) and sigmoid(a) from one exp(-|a|), which cannot overflow
         t = np.exp(-np.abs(a))
         r = 1.0 / (1.0 + t)
         q = t * r
         d1 = np.where(a < 0, -r, -q)
         d2 = r * q
-    elif kind.name == "hinge":
-        d1 = np.where(a < 1, -1.0, np.where(a > 1, 0.0, -0.5))
-        d2 = np.zeros_like(a)
     else:
-        eps = kind.epsilon
-        d1 = np.where(
-            a < 0,
-            -eps,
-            np.where(
-                a == 0,
-                -(eps + 1.0 / eps) / 2.0,
-                np.where(
-                    a < eps,
-                    -1.0 / eps,
-                    np.where(a == eps, -1.0 / (2.0 * eps), 0.0),
-                ),
-            ),
-        )
+        kinks, slopes = table
+        d1 = 0.5 * (slopes[kinks.searchsorted(a, "left")] + slopes[kinks.searchsorted(a, "right")])
         d2 = np.zeros_like(a)
     if d1.ndim:
         return d1, d2

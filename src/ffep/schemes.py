@@ -109,13 +109,13 @@ class SchemeKind:
     def __post_init__(self):
         if self.kind not in _DISPATCH:
             raise ValueError(f"unknown scheme {self.kind!r}")
-        if not self.newton_tol > 0:
-            raise ValueError("newton_tol must be positive")
+        if not 0 < self.newton_tol < np.inf:
+            raise ValueError("newton_tol must be positive and finite")
         _require_integer("newton_max_iter", self.newton_max_iter)
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be at least 1")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if self.gamma is not None and not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
 
 
 # selecting a scheme by name is constructing its SchemeKind, defaults and all
@@ -253,17 +253,19 @@ def _line_minimize(objective, Z, kinks, theta, direction, f0, c1, c2, beta):
 
     Along the line ``objective`` is beta * sum of loss(Z (theta +
     t*direction)) plus c1*t + c2*t^2 and a constant, ``kinks`` being the
-    loss's shape (``losses.loss_kinks``).  The margins along the line are
-    a + t*b, with a = Z theta and b = Z direction, so the loss sum is
-    piecewise linear in t: where margin k crosses a kink, at
-    t = (kink - a_k) / b_k, its slope jumps by jump * |b_k|.  With c2 > 0 the
-    minimum is the best of the segments' vertices, each clipped to its
-    segment.  That point is kept only when ``objective`` there is below
-    ``f0``.  A line with c2 = 0, as a zero direction has, is left alone.
+    loss's (kinks, slopes) table (``losses.loss_kinks``).  The margins along
+    the line are a + t*b, with a = Z theta and b = Z direction, so the loss
+    sum is piecewise linear in t: where margin k crosses a kink, at
+    t = (kink - a_k) / b_k, its slope jumps by the loss's slope change there
+    times |b_k|.  With c2 > 0 the minimum is the best of the segments'
+    vertices, each clipped to its segment.  That point is kept only when
+    ``objective`` there is below ``f0``.  A line with c2 = 0, as a zero
+    direction has, is left alone.
     """
     if not c2 > 0.0:
         return theta, f0
-    left_slope, kink_at, jumps = kinks
+    kink_at, loss_slopes = kinks
+    left_slope, jumps = loss_slopes[0], loss_slopes[1:] - loss_slopes[:-1]
     a, b = Z @ theta, Z @ direction
     moving = b != 0
     a, b = a[moving], b[moving]

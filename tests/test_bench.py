@@ -294,7 +294,7 @@ def kinked_line(loss, reach):
     Z = rng.normal(size=(12, 3))
     Z[0:2, :2] = 0.0
     Z[3] = Z[2]
-    kink = loss_kinks(loss)[1][-1]
+    kink = loss_kinks(loss)[0][-1]
     for row, t in ((4, reach), (5, -reach)):
         point = theta + t * direction
         Z[row] += (kink - Z[row] @ point) / (point @ point) * point

@@ -256,6 +256,11 @@ BAD_SETTINGS = [
     ("bool-prior-variance", [], {"prior_variance": True},
      "'prior_variance' must be a number, not True"),
     ("huge-prior-variance", [], {"prior_variance": 10**400}, "too large to convert to float"),
+    # inf, as JSON reads 1e400: every positive setting refuses it
+    ("inf-prior-variance", [], {"prior_variance": 1e400},
+     "prior variance must be positive and finite"),
+    ("inf-epsilon", [], {"losses": ["quasi01"], "epsilon": 1e400},
+     "quasi01 epsilon must be positive and finite"),
     ("string-epsilon", [], {"losses": ["quasi01"], "epsilon": "0.1"},
      "'epsilon' must be a number, not '0.1'"),
     ("bool-epsilon", [], {"losses": ["quasi01"], "epsilon": True},
@@ -294,6 +299,9 @@ BAD_SETTINGS = [
     ("string-beta", [], {"beta": "2"}, "'beta' must be a number, not '2'"),
     ("null-beta", [], {"beta": None}, "'beta' must be a number, not None"),
     ("huge-beta", [], {"beta": 10**400}, "too large to convert to float"),
+    ("inf-beta", [], {"beta": 1e400}, "beta must be positive and finite"),
+    ("inf-gamma", [], {"gamma": 1e400}, "gamma must be positive and finite"),
+    ("inf-newton-tol", [], {"newton_tol": 1e400}, "newton_tol must be positive and finite"),
     ("string-newton-tol", [], {"newton_tol": "1e-5"},
      "'newton_tol' must be a number, not '1e-5'"),
     ("bool-newton-tol", [], {"newton_tol": False}, "'newton_tol' must be a number, not False"),
@@ -411,6 +419,25 @@ class TestOverflowingColumnIsADataError:
         err = capsys.readouterr().err
         assert err.startswith("ffep: data error: ")
         assert "column 'age' overflows" in err
+        assert not any((tmp_path / "results").rglob("*.json"))
+
+
+class TestLabelAsFeatureIsADataError:
+    """A schema that names its label column as a feature too is named, whichever
+    parser serves the table: an all-numeric one the block parse, else the row loop."""
+
+    @pytest.mark.parametrize("dataset_keys", [
+        {"numeric": ["age", "year", "nodes", "status"]},
+        {"categorical": ["status"]},
+    ], ids=["block", "rows"])
+    @pytest.mark.parametrize("command", ["run", "reference"])
+    def test_exits_two_naming_the_label(self, tmp_path, small_csv, capsys, command,
+                                        dataset_keys):
+        cfg = write_config(tmp_path, small_csv, dataset_keys=dataset_keys)
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ffep: data error: ")
+        assert "label column 'status' is also a feature column" in err
         assert not any((tmp_path / "results").rglob("*.json"))
 
 

@@ -110,8 +110,9 @@ class TestEpConfig:
     def test_rejects_invalid_settings(self):
         with pytest.raises(ValueError, match="mode"):
             config(mode="batch")
-        with pytest.raises(ValueError, match="beta"):
-            config(beta=0.0)
+        for beta in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="beta must be positive and finite"):
+                config(beta=beta)
         with pytest.raises(ValueError, match="batch_size"):
             config(batch_size=0)
         with pytest.raises(ValueError, match="n_sweeps"):

@@ -84,6 +84,11 @@ class TestLogFactor:
         with pytest.raises(ValueError):
             BoundFactor(toy_dataset(), batch=[0], loss=hinge(), beta=0.0)
 
+    @pytest.mark.parametrize("beta", [np.inf, np.nan])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            BoundFactor(toy_dataset(), batch=[0], loss=hinge(), beta=beta)
+
 
 class TestDerivatives:
     def test_single_logistic_example_worked_values(self):
@@ -223,3 +228,8 @@ class TestPrior:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
             PriorFactor(variance=0.0)
+
+    @pytest.mark.parametrize("variance", [np.inf, np.nan])
+    def test_non_finite_variance_rejected(self, variance):
+        with pytest.raises(ValueError, match="prior variance must be positive and finite"):
+            PriorFactor(variance=variance)

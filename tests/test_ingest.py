@@ -49,14 +49,25 @@ class TestLoadCsv:
                                         numeric=("x",)))
 
     @pytest.mark.parametrize("token", ["nan", "-inf", "1e400"])
-    @pytest.mark.parametrize("categorical", [(), ("cls",)], ids=["numeric", "categorical"])
+    @pytest.mark.parametrize("categorical", [(), ("color",)], ids=["numeric", "categorical"])
     def test_non_finite_token_names_the_row_and_column(self, tmp_path, token, categorical):
         # an all-numeric table is parsed as a block first, the other row by row
-        path = write(tmp_path, f"x,z,cls\n1.0,2.0,yes\n3.0,{token},no\n")
+        path = write(tmp_path, f"x,z,color,cls\n1.0,2.0,a,yes\n3.0,{token},b,no\n")
         schema = ColumnSchema(label="cls", label_map=YESNO, numeric=("x", "z"),
                               categorical=categorical)
         with pytest.raises(DataLoadError,
                            match=f"row 3 has non-finite value '{token}' in column 'z'"):
+            load_csv(path, schema)
+
+    @pytest.mark.parametrize("numeric, categorical", [
+        (("x", "cls"), ()), (("x",), ("cls",)), (("x", 1), ("color",)),
+    ], ids=["numeric", "categorical", "by-position"])
+    def test_label_named_as_a_feature_is_a_load_error(self, tmp_path, numeric, categorical):
+        # all-numeric schemas go to the block parse first, the others to the row loop
+        path = write(tmp_path, "x,cls,color\n1.0,yes,a\n2.0,no,b\n")
+        schema = ColumnSchema(label="cls", label_map=YESNO, numeric=numeric,
+                              categorical=categorical)
+        with pytest.raises(DataLoadError, match="label column 'cls' is also a feature column"):
             load_csv(path, schema)
 
     def test_unknown_label_names_the_row(self, tmp_path):

@@ -86,9 +86,14 @@ class TestValues:
 
     def test_quasi01_with_unit_epsilon_equals_hinge(self):
         rng = np.random.default_rng(1)
-        a = rng.uniform(-5.0, 5.0, size=2000)
+        kinks = np.array([0.0, 1.0])
+        a = np.concatenate([rng.uniform(-5.0, 5.0, size=2000), kinks, -kinks,
+                            np.nextafter(kinks, -np.inf), np.nextafter(kinks, np.inf)])
         np.testing.assert_allclose(loss_value(quasi01(1.0), a),
                                    loss_value(hinge(), a), rtol=0, atol=1e-15)
+        # the derivatives bit for bit, at both kinks and beside them too
+        for got, want in zip(loss_derivatives(quasi01(1.0), a), loss_derivatives(hinge(), a)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestDerivatives:
@@ -118,20 +123,30 @@ class TestDerivatives:
     def test_quasi01_half_sums_at_kinks(self):
         kind = quasi01(0.1)
         d1_at_zero, d2_at_zero = loss_derivatives(kind, 0.0)
-        assert d1_at_zero == pytest.approx(-(0.1 + 10.0) / 2.0, rel=1e-14)
+        assert d1_at_zero == -(0.1 + 10.0) / 2.0
         assert d2_at_zero == 0.0
-        assert loss_derivatives(kind, 0.1)[0] == pytest.approx(-5.0, rel=1e-14)
+        assert loss_derivatives(kind, 0.1)[0] == -5.0
 
     def test_quasi01_branches(self):
         kind = quasi01(0.1)
-        assert loss_derivatives(kind, -2.0)[0] == pytest.approx(-0.1, rel=1e-14)
-        assert loss_derivatives(kind, 0.05)[0] == pytest.approx(-10.0, rel=1e-14)
+        assert loss_derivatives(kind, -2.0)[0] == -0.1
+        assert loss_derivatives(kind, 0.05)[0] == -10.0
         assert loss_derivatives(kind, 0.5)[0] == 0.0
 
     def test_half_sum_applies_only_at_exact_equality(self):
         below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
         assert loss_derivatives(hinge(), below)[0] == -1.0
         assert loss_derivatives(hinge(), above)[0] == 0.0
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 3.0])
+    def test_quasi01_half_sum_applies_only_at_exact_equality(self, eps):
+        kind = quasi01(eps)
+        for kink, left, right in ((0.0, -eps, -1.0 / eps), (eps, -1.0 / eps, 0.0)):
+            below, above = np.nextafter(kink, -np.inf), np.nextafter(kink, np.inf)
+            assert loss_derivatives(kind, below)[0] == left
+            assert loss_derivatives(kind, kink)[0] == (left + right) / 2.0
+            assert loss_derivatives(kind, above)[0] == right
+        assert loss_derivatives(kind, -0.0)[0] == loss_derivatives(kind, 0.0)[0]
 
     def test_piecewise_linear_losses_have_zero_curvature(self):
         rng = np.random.default_rng(2)
@@ -164,13 +179,14 @@ class TestKinkTable:
     def test_kinks_are_the_ones_the_sweeps_avoid(self):
         for kind in ALL_KINDS:
             table = loss_kinks(kind)
-            kinks = () if table is None else tuple(table[1])
+            kinks = () if table is None else tuple(table[0])
             assert kinks == KINKS[kind.name]
 
     @pytest.mark.parametrize("kind", [hinge(), quasi01(0.1), quasi01(0.5)],
                              ids=["hinge", "quasi01_0.1", "quasi01_0.5"])
     def test_slopes_match_one_sided_differences(self, kind):
-        left_slope, kinks, jumps = loss_kinks(kind)
+        kinks, slopes = loss_kinks(kind)
+        assert slopes.size == kinks.size + 1 and np.all(np.diff(kinks) > 0)
         h = 1e-6
 
         def slope_left_of(a):
@@ -179,13 +195,12 @@ class TestKinkTable:
         def slope_right_of(a):
             return (loss_value(kind, a + h) - loss_value(kind, a)) / h
 
-        assert slope_left_of(kinks[0] - 5.0) == pytest.approx(left_slope, rel=1e-6)
-        assert slope_left_of(kinks[0]) == pytest.approx(left_slope, rel=1e-6)
-        for kink, jump in zip(kinks, jumps):
-            assert slope_right_of(kink) - slope_left_of(kink) \
-                == pytest.approx(jump, rel=1e-6)
-        assert slope_right_of(kinks[-1] + 5.0) \
-            == pytest.approx(left_slope + jumps.sum(), abs=1e-6)
+        # every segment's slope, at both of its ends and far past the last kink
+        assert slope_left_of(kinks[0] - 5.0) == pytest.approx(slopes[0], rel=1e-6)
+        for j, kink in enumerate(kinks):
+            assert slope_left_of(kink) == pytest.approx(slopes[j], rel=1e-6)
+            assert slope_right_of(kink) == pytest.approx(slopes[j + 1], abs=1e-6)
+        assert slope_right_of(kinks[-1] + 5.0) == pytest.approx(slopes[-1], abs=1e-6)
 
 
 class TestSelection:
@@ -204,3 +219,8 @@ class TestSelection:
             quasi01(0.0)
         with pytest.raises(ValueError):
             LossKind(name="quasi01", epsilon=-1.0)
+
+    @pytest.mark.parametrize("epsilon", [np.inf, np.nan])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="quasi01 epsilon must be positive and finite"):
+            quasi01(epsilon)

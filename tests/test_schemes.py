@@ -519,8 +519,7 @@ def assert_line_minimum(cavity, factor, theta, direction, f0, moved, f):
 
     lam, mu = cavity.precision, cavity.mean
     c1, c2 = float(lam * (theta - mu) @ direction), 0.5 * float(lam @ direction ** 2)
-    left_slope, _, jumps = loss_kinks(factor.loss)
-    max_slope = np.abs(np.cumsum(np.concatenate(([left_slope], jumps)))).max()
+    max_slope = np.abs(loss_kinks(factor.loss)[1]).max()
     b_sum = np.abs(factor.Z @ direction).sum()
     reach = (abs(c1) + factor.beta * max_slope * b_sum) / (2 * c2)
     ts = np.linspace(-reach, reach, 20_001)
@@ -1224,6 +1223,11 @@ class TestSchemeSelection:
             SchemeKind(kind="vq", newton_tol=0.0)
         with pytest.raises(ValueError):
             SchemeKind(kind="gq", gamma=-1.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="newton_tol must be positive and finite"):
+                SchemeKind(kind="la", newton_tol=bad)
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                SchemeKind(kind="gq", gamma=bad)
         for bad_cap in (0, -3, 2.5, True):
             with pytest.raises(ValueError):
                 SchemeKind(kind="la", newton_max_iter=bad_cap)
