@@ -323,7 +323,9 @@ def run_experiment(config: RunConfig) -> dict:
     raised before any reference or run.
     """
     table = load_csv(config.dataset_path, config.schema)
+    n_dropped = table.n_dropped
     dataset = preprocess(table, name=config.dataset_name)
+    del table  # its raw columns are not needed past preprocessing
     if dataset.n_examples < config.batch_size:
         raise DataLoadError(f"{config.dataset_name}: batch_size {config.batch_size} needs at "
                             f"least as many usable rows, not {dataset.n_examples}")
@@ -336,7 +338,7 @@ def run_experiment(config: RunConfig) -> dict:
             "path": str(config.dataset_path),
             "n_examples": dataset.n_examples,
             "dim": dataset.dim,
-            "n_rows_dropped": table.n_dropped,
+            "n_rows_dropped": n_dropped,
         },
         "protocol": {
             "batch_size": config.batch_size,

@@ -227,7 +227,8 @@ def gate_update(cavity: DiagGaussian, candidate: DiagGaussian) -> DiagGaussian |
     if not candidate.is_finite():
         return None
     posterior = multiply(cavity, candidate)
-    return posterior if posterior.precision.min() > _PRECISION_FLOOR else None
+    # the precision is -2 nhp, so its min exceeds the floor exactly when max nhp < -floor/2
+    return posterior if posterior.neg_half_precision.max() < -0.5 * _PRECISION_FLOOR else None
 
 
 def _abs_naturals(g: DiagGaussian):
@@ -316,7 +317,7 @@ def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
     prior_msg = prior_as_message(config.prior, dim)
     looping = config.mode == "looping"
     state = EpState.start(prior_msg, len(factors) if looping else None)
-    hist = _abs_naturals(prior_msg)  # the product check's rounding history
+    hist = list(_abs_naturals(prior_msg))  # the product check's rounding history
     trace = EpTrace()
 
     elapsed = 0.0
@@ -345,12 +346,14 @@ def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
             # bookkeeping below is outside the timed region
             if status == "applied":
                 cost_stale = True
-                if looping:
-                    hist = [h + a for h, a in zip(hist, _abs_naturals(state.global_approx))]
+                if looping:  # in place: the arrays of hist are its own
+                    for i, a in enumerate(_abs_naturals(state.global_approx)):
+                        hist[i] += a
             slot = -2
             if cost_fn is not None and (visit % config.cost_every == 0 or visit == n_total):
-                if cost_stale:
-                    means.append(state.global_approx.mean)
+                if cost_stale:  # the mean, unchecked: the prior and the gate keep g proper
+                    g = state.global_approx
+                    means.append(g.linear * (-0.5 / g.neg_half_precision))
                     cost_stale = False
                 slot = len(means) - 1
             visits.append((status, slot, elapsed * 1000.0))

@@ -151,11 +151,15 @@ def load_csv(path, schema: ColumnSchema) -> RawTable:
     token, an unknown label, a ragged row) is read again row by row, which
     drops rows with missing numeric values and raises DataLoadError naming
     the offending row on unparseable or non-finite numeric tokens or
-    unmapped label values.
+    unmapped label values.  A schema that does not fit the header and first
+    row raises the same DataLoadError from either parse, so the block parse
+    raises it at once.
     """
     if not schema.categorical:
         try:
             return _load_block(path, schema)
+        except DataLoadError:
+            raise
         except (OSError, ValueError, KeyError):
             pass  # the row loop reads the file again and reports what it finds
     return _load_rows(path, schema)

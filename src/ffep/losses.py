@@ -22,6 +22,7 @@ result has the same shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -62,6 +63,7 @@ def loss_from_name(name: str, epsilon: float = LossKind.epsilon) -> LossKind:
     return LossKind(name, epsilon) if name == "quasi01" else LossKind(name)
 
 
+@cache
 def loss_kinks(kind: LossKind) -> tuple[np.ndarray, np.ndarray] | None:
     """A piecewise-linear loss as its (kinks, slopes) table; None for logistic.
 
@@ -69,14 +71,19 @@ def loss_kinks(kind: LossKind) -> tuple[np.ndarray, np.ndarray] | None:
     loss's slope on each segment: ``slopes[j]`` left of ``kinks[j]``,
     ``slopes[-1]`` past the last kink.  The slope at a margin a is
     ``slopes[kinks.searchsorted(a)]``, searching from the left or the right
-    giving the two one-sided slopes, which differ only at a kink.
+    giving the two one-sided slopes, which differ only at a kink.  Each
+    table is built once per LossKind, and its arrays are read-only.
     """
     if kind.name == "hinge":
-        return np.array([1.0]), np.array([-1.0, 0.0])
-    if kind.name == "quasi01":
+        table = np.array([1.0]), np.array([-1.0, 0.0])
+    elif kind.name == "quasi01":
         eps = kind.epsilon
-        return np.array([0.0, eps]), np.array([-eps, -1.0 / eps, 0.0])
-    return None
+        table = np.array([0.0, eps]), np.array([-eps, -1.0 / eps, 0.0])
+    else:
+        return None
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def loss_value(kind: LossKind, a):

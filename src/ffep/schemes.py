@@ -180,11 +180,19 @@ def _taylor_message(theta, value, grad, hessdiag) -> DiagGaussian:
     return DiagGaussian(log_scale, linear, nhp)
 
 
-def _newton_mode(cavity: DiagGaussian, factor, scheme: SchemeKind, kinks) -> np.ndarray:
+def _log_at(g: DiagGaussian, theta: np.ndarray) -> float:
+    """log g at one point of its dimension: eval_log's expression, unchecked."""
+    return g.log_scale + theta @ g.linear + (theta * theta) @ g.neg_half_precision
+
+
+def _newton_mode(cavity: DiagGaussian, factor, scheme: SchemeKind, kinks):
     """Maximize log(c*f) by damped Newton on its diagonal curvature.
 
     The curvature is the cavity precision plus the factor's Hessian
-    diagonal, and the search starts from the cavity mean.
+    diagonal, and the search starts from the cavity mean.  Returns the mode
+    theta* and the Taylor data of the message there, each computed once:
+    log f(theta*) and the factor's gradient and Hessian diagonal, or with
+    kinks the mode-consistent slope and zero curvature (approx_laplace).
 
     ``kinks`` is ``losses.loss_kinks`` of the factor's margin-view loss, or
     None.  With kinks the loss is piecewise linear, so the factor's
@@ -205,46 +213,53 @@ def _newton_mode(cavity: DiagGaussian, factor, scheme: SchemeKind, kinks) -> np.
     halved steps' values.
     """
     tol = scheme.newton_tol
+    # nhp2 = 2 nhp = -L is also the fallback curvature where the factor is nonconcave
+    lin, nhp2, lam = cavity.linear, 2.0 * cavity.neg_half_precision, cavity.precision
     theta = cavity.mean.copy()
-    lam = cavity.precision  # fallback curvature where the factor is nonconcave
-    obj = eval_log(cavity, theta) + factor.log_value(theta)
+    value = factor.log_value(theta)  # log f at theta, always from log_value
+    obj = _log_at(cavity, theta) + value
     if not np.isfinite(obj):
         raise SchemeFailure("objective not finite at the cavity mean")
+    trial = value  # log f at the last point scored
 
     def neg_log_tilted(point):
-        return -(eval_log(cavity, point) + factor.log_value(point))
+        nonlocal trial
+        trial = factor.log_value(point)
+        return -(_log_at(cavity, point) + trial)
 
     for _ in range(scheme.newton_max_iter):
         grad_f, hd_f = factor.log_grad_hessdiag(theta)
-        grad_c = cavity.linear + 2.0 * cavity.neg_half_precision * theta
-        grad = grad_c + grad_f
-        hess = 2.0 * cavity.neg_half_precision + hd_f
-        hess = np.where(hess < -1e-12, hess, -lam)
-        step = -grad / hess
-        if not np.all(np.isfinite(step)):
+        grad_c = lin + nhp2 * theta
+        hess = nhp2 + hd_f
+        step = -(grad_c + grad_f) / np.where(hess < -1e-12, hess, nhp2)
+        if not np.isfinite(step).all():
             raise SchemeFailure("non-finite Newton step in Laplace maximization")
         if kinks is not None:  # c1 = -grad_c . u, as grad_c = L (mu - theta)
             cand, neg = _line_minimize(neg_log_tilted, factor.Z, kinks, theta, step, -obj,
                                        -float(grad_c @ step), 0.5 * float(lam @ (step * step)),
                                        factor.beta)
-            if cand is theta:
-                return theta  # the exact minimizer along the Newton direction stays put
-            step, val = cand - theta, -neg
+            if cand is theta:  # the exact minimizer along the Newton direction stays put
+                return theta, value, -grad_c, np.zeros(theta.size)
+            step, val = cand - theta, -neg  # cand was the last point scored
         else:
             cand = theta + step
-            val = eval_log(cavity, cand) + factor.log_value(cand)
+            trial = factor.log_value(cand)
+            val = _log_at(cavity, cand) + trial
             if not (np.isfinite(val) and val >= obj):
                 if obj - val <= 4.0 * np.spacing(abs(obj)):
-                    return theta  # the full step changes the objective by rounding only
+                    return theta, value, grad_f, hd_f  # the full step changes obj by rounding
                 cands = theta + _HALVINGS[:, None] * step
                 vals = eval_log(cavity, cands) + factor.log_value_many(cands)
                 ok = np.flatnonzero(np.isfinite(vals) & (vals >= obj))
                 if not ok.size:
-                    return theta  # no ascent available along the Newton direction
+                    return theta, value, grad_f, hd_f  # no ascent along the Newton direction
                 step, cand, val = _HALVINGS[ok[0]] * step, cands[ok[0]], vals[ok[0]]
-        theta, obj = cand, val
-        if np.all(np.abs(step) <= tol * np.maximum(1.0, np.abs(theta))):
-            return theta
+                trial = factor.log_value(cand)  # log_value_many's may differ by rounding
+        theta, obj, value = cand, val, trial
+        if (np.abs(step) <= tol * np.maximum(1.0, np.abs(theta))).all():
+            if kinks is not None:
+                return theta, value, -(lin + nhp2 * theta), np.zeros(theta.size)
+            return theta, value, *factor.log_grad_hessdiag(theta)
     raise SchemeFailure("Laplace maximization did not converge")
 
 
@@ -334,9 +349,13 @@ def _box_qp(Zw: np.ndarray, Z: np.ndarray, b: np.ndarray, hi: float,
     side = np.where(start, 1.0, -1.0)
     tol_zw, abs_z, tol_b = _QP_KKT_RTOL * np.abs(Zw), np.abs(Z), _QP_KKT_RTOL * np.abs(b)
     at_face_min = True  # no row is free: a vertex is its own face's minimum
+
+    def face(rows):  # the free rows of Zw, and Q_FF
+        zw_f = Zw.take(rows, axis=0)
+        return zw_f, zw_f @ Z.take(rows, axis=0).T
+
     for _ in range(_QP_ITER_PER_ROW * (s + 1)):
         rows = (side == 0.0).nonzero()[0]
-        zw_f, z_f = Zw.take(rows, axis=0), Z.take(rows, axis=0)
         u = a @ Z
         if at_face_min:
             g = Zw @ u - b
@@ -344,17 +363,20 @@ def _box_qp(Zw: np.ndarray, Z: np.ndarray, b: np.ndarray, hi: float,
             j = excess.argmax()
             if not excess[j] > 0.0:
                 if rows.size:  # re-solve the face once, free of the path's rounding
+                    zw_f, q_ff = face(rows)
                     rhs = b[rows] - zw_f @ (np.where(side > 0.0, hi, 0.0) @ Z)
-                    a[rows] = np.minimum(np.maximum(np.linalg.solve(zw_f @ z_f.T, rhs), 0.0), hi)
+                    a[rows] = np.minimum(np.maximum(np.linalg.solve(q_ff, rhs), 0.0), hi)
                 return a
-            q = w = zw_f @ Z[j]
-            if rows.size:
-                w = np.linalg.solve(zw_f @ z_f.T, q)
             side[j] = 0.0
-            moving = np.concatenate((rows, [j]))
-            step = np.concatenate((-w, [1.0]))
             q_jj = Zw[j] @ Z[j]
-            schur = q_jj - q @ w
+            if rows.size:
+                zw_f, q_ff = face(rows)
+                q = zw_f @ Z[j]
+                w = np.linalg.solve(q_ff, q)
+                moving, step = np.concatenate((rows, [j])), np.concatenate((-w, [1.0]))
+                schur = q_jj - q @ w
+            else:  # row j moves alone
+                moving, step, schur = np.array([j]), np.array([1.0]), q_jj
             if schur > _QP_DEPENDENT * q_jj:
                 step *= -g[j] / schur  # the Newton step of the bordered system
                 full = 1.0
@@ -364,11 +386,13 @@ def _box_qp(Zw: np.ndarray, Z: np.ndarray, b: np.ndarray, hi: float,
                 full = np.inf
         else:
             moving = rows
-            step = np.linalg.solve(zw_f @ z_f.T, b.take(rows) - zw_f @ u)
+            zw_f, q_ff = face(rows)
+            step = np.linalg.solve(q_ff, b.take(rows) - zw_f @ u)
             full = 1.0
         # how far each moving row can go before it meets the bound it heads for
         a_m, up = a.take(moving), step > 0.0
-        room = np.full(step.size, np.inf)
+        room = np.empty(step.size)
+        room.fill(np.inf)
         np.divide(np.where(up, hi - a_m, a_m), np.abs(step), out=room, where=step != 0.0)
         k = room.argmin()
         if room[k] >= full:
@@ -430,15 +454,10 @@ def approx_laplace(cavity: DiagGaussian, factor, scheme: SchemeKind | None = Non
     scheme = scheme or SchemeKind("la")
     loss = getattr(factor, "loss", None)
     kinks = loss_kinks(loss) if isinstance(loss, LossKind) else None
-    if kinks is None:
-        theta = _newton_mode(cavity, factor, scheme, None)
-        return _taylor_message(theta, factor.log_value(theta), *factor.log_grad_hessdiag(theta))
-    if loss.name == "hinge":
+    if kinks is not None and loss.name == "hinge":
         theta, grad_f = _hinge_mode(cavity, factor.Z, factor.beta)
-    else:
-        theta = _newton_mode(cavity, factor, scheme, kinks)
-        grad_f = -(cavity.linear + 2.0 * cavity.neg_half_precision * theta)
-    return _taylor_message(theta, factor.log_value(theta), grad_f, np.zeros_like(theta))
+        return _taylor_message(theta, factor.log_value(theta), grad_f, np.zeros_like(theta))
+    return _taylor_message(*_newton_mode(cavity, factor, scheme, kinks))
 
 
 def approx_quick_laplace(cavity: DiagGaussian, factor,

@@ -70,6 +70,23 @@ class TestLoadCsv:
         with pytest.raises(DataLoadError, match="label column 'cls' is also a feature column"):
             load_csv(path, schema)
 
+    @pytest.mark.parametrize("numeric", [("x", "cls"), ("x", "nope"), ("x", 7)],
+                             ids=["label-as-feature", "unknown-column", "index-out-of-range"])
+    def test_schema_error_fails_without_reading_the_rows(self, tmp_path, monkeypatch, numeric):
+        # the block parse finds it from the header and first row, as the row loop would
+        path = write(tmp_path, "x,cls\n1.0,yes\n2.0,no\n")
+        schema = ColumnSchema(label="cls", label_map=YESNO, numeric=numeric)
+        with pytest.raises(DataLoadError) as from_rows:
+            ingest._load_rows(path, schema)
+
+        def unreachable(*args):
+            raise AssertionError("the row loop re-read a file whose schema failed")
+
+        monkeypatch.setattr(ingest, "_load_rows", unreachable)
+        with pytest.raises(DataLoadError) as from_block:
+            load_csv(path, schema)
+        assert str(from_block.value) == str(from_rows.value)
+
     def test_unknown_label_names_the_row(self, tmp_path):
         path = write(tmp_path, "x,cls\n1.0,maybe\n")
         with pytest.raises(DataLoadError, match="row 2.*maybe"):

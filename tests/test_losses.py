@@ -202,6 +202,16 @@ class TestKinkTable:
             assert slope_right_of(kink) == pytest.approx(slopes[j + 1], abs=1e-6)
         assert slope_right_of(kinks[-1] + 5.0) == pytest.approx(slopes[-1], abs=1e-6)
 
+    @pytest.mark.parametrize("kind", [hinge(), quasi01(0.1), quasi01(0.5)],
+                             ids=["hinge", "quasi01_0.1", "quasi01_0.5"])
+    def test_table_is_built_once_and_read_only(self, kind):
+        first, again = loss_kinks(kind), loss_kinks(LossKind(kind.name, kind.epsilon))
+        for built, served in zip(first, again):
+            assert served is built
+            assert not built.flags.writeable
+            with pytest.raises(ValueError):
+                built[0] = 2.0
+
 
 class TestSelection:
     def test_names_round_trip(self):

@@ -31,11 +31,12 @@ manifest = bench.run_experiment(bench.RunConfig(
     dataset_path=ingest.bundled_synthetic_path(),
     schema=ingest.bundled_synthetic_schema(),
     losses=(loss_from_name("logistic"),),
-    schemes=(scheme_from_name("qla"), scheme_from_name("gq")),
+    schemes=(scheme_from_name("la"), scheme_from_name("qla"), scheme_from_name("gq")),
     out_dir=sys.argv[1], dataset_name="synthetic306", n_sweeps=1,
     timing_repetitions=1))
 print(json.dumps({
     "spans": sorted({name for name, _ in tracer.calls}),
+    "la_spans": sorted({name for name, tag in tracer.calls if tag == "la"}),
     "fits": sorted("/".join(key) for key in probe.fits),
     "failures": manifest["failures"],
 }))
@@ -51,9 +52,13 @@ def test_spans_and_probe_see_a_traced_run(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["failures"] == []
-    # qla calls log_value and log_grad_hessdiag; gq calls log_value_many
+    # la and qla call log_value and log_grad_hessdiag; gq calls log_value_many
     for name in ("factors.log_value", "factors.log_value_many",
                  "factors.log_grad_hessdiag", "schemes.approximate",
                  "engine.gate_update", "bench.newton"):
         assert name in seen["spans"]
-    assert seen["fits"] == ["logistic/gq", "logistic/qla"]
+    assert seen["fits"] == ["logistic/gq", "logistic/la", "logistic/qla"]
+    # la's factor time lands under its own tag, so the per-layer metrics see it
+    for name in ("factors.log_value", "factors.log_grad_hessdiag", "schemes.approximate",
+                 "engine.gate_update", "gaussian.multiply", "gaussian.divide"):
+        assert name in seen["la_spans"]

@@ -854,6 +854,39 @@ class TestLaplaceOnSynthetic306:
         assert calls["iterations"] <= 2.0 * 5 * 31
         assert calls["stacks"] == 0  # no halving stack is scored
 
+    @pytest.mark.parametrize("loss, log_values, gradients", [
+        (logistic(), 815, 815), (hinge(), 155, 0), (quasi01(), 371, 305),
+    ], ids=lambda v: getattr(v, "name", v))
+    def test_each_visit_evaluates_each_point_once(self, synthetic_dataset, monkeypatch,
+                                                  loss, log_values, gradients):
+        """The mode's value and derivatives come from the search that found it.
+
+        On logistic the search scores its start and every iterate with
+        log_value and takes log_grad_hessdiag at every iterate, the mode
+        included, so the two counts agree: 815 each over the 155 visits.
+        """
+        visits = []
+
+        def visit(cavity, factor, scheme, real=approx_laplace):
+            visits.append({"log_value": [], "log_grad_hessdiag": []})
+            return real(cavity, factor, scheme)
+
+        for name in ("log_value", "log_grad_hessdiag"):
+            def counting(factor, theta, real=getattr(BoundFactor, name), name=name):
+                visits[-1][name].append(theta.tobytes())
+                return real(factor, theta)
+
+            monkeypatch.setattr(BoundFactor, name, counting)
+        monkeypatch.setitem(schemes._DISPATCH, "la", visit)
+        cfg = EpConfig(scheme=SchemeKind("la"), loss=loss, batch_size=10)
+        ep_run(cfg, synthetic_dataset)
+        assert len(visits) == 5 * 31
+        for points in visits:
+            for evaluated in points.values():
+                assert len(set(evaluated)) == len(evaluated)
+        assert sum(len(v["log_value"]) for v in visits) == log_values
+        assert sum(len(v["log_grad_hessdiag"]) for v in visits) == gradients
+
     def test_logistic_posterior_is_unchanged(self, synthetic_dataset):
         cfg = EpConfig(scheme=SchemeKind("la"), loss=logistic(), batch_size=10)
         state, _ = ep_run(cfg, synthetic_dataset)
