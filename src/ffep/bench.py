@@ -83,7 +83,7 @@ def reference_newton_logistic(dataset: Dataset,
     gradient sup-norm 1e-8 or raises.
     """
     prior = prior or PriorFactor()
-    z = dataset.labels[:, None] * dataset.features
+    z = dataset.signed_rows
     theta = np.zeros(dataset.dim)
     logistic = LossKind("logistic")
     for _ in range(_NEWTON_MAX_ITER):
@@ -127,7 +127,7 @@ def reference_powell(dataset: Dataset, loss: LossKind, theta_init,
     if kinks is None:
         raise ValueError(f"Powell needs a piecewise-linear loss, not {loss.name}")
     prior = prior or PriorFactor()
-    Z = dataset.labels[:, None] * dataset.features
+    Z = dataset.signed_rows
 
     def objective(t):
         return total_cost(t, dataset, loss, prior)
@@ -293,7 +293,7 @@ def _compute_references(dataset: Dataset, losses, prior: PriorFactor):
         if loss.name == "logistic":
             theta, converged = theta_log, True
         elif loss.name == "hinge":
-            Z = dataset.labels[:, None] * dataset.features
+            Z = dataset.signed_rows
             var = prior.variance
             alpha = _box_qp(var * Z, Z, np.ones(dataset.n_examples), 1.0, Z @ theta_log < 1.0)
             theta = var * (alpha @ Z)

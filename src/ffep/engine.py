@@ -263,17 +263,16 @@ def _check_product(state: EpState, prior_msg: DiagGaussian, hist):
 def classification_costs(thetas, dataset: Dataset, loss: LossKind) -> np.ndarray:
     """Summed loss over the whole dataset at each row of an (m, d) stack.
 
-    The margins are ``(thetas @ features.T) * labels``, computed in blocks
-    of at most _MARGIN_BLOCK values, so one matrix product reads the table
-    once per block rather than once per row.  A one-row block is the
-    matrix-vector product ``features @ theta``.
+    The margins are ``thetas @ signed_rows.T``, computed in blocks of at
+    most _MARGIN_BLOCK values, so one matrix product reads the table once
+    per block rather than once per row.  A one-row block is the
+    matrix-vector product ``signed_rows @ theta``.
     """
     thetas = np.asarray(thetas, dtype=float)
     costs = np.empty(len(thetas))
     rows = max(1, _MARGIN_BLOCK // dataset.n_examples)
     for i in range(0, len(thetas), rows):
-        margins = thetas[i:i + rows] @ dataset.features.T
-        margins *= dataset.labels
+        margins = thetas[i:i + rows] @ dataset.signed_rows.T
         costs[i:i + rows] = loss_value(loss, margins).sum(axis=1)
     return costs
 

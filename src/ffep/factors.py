@@ -12,6 +12,13 @@ Derivatives chain through the margin a_k = y_k * theta.x_k:
 
 which is all a fully factorized scheme ever needs (off-diagonal curvature is
 never formed).
+
+A bound factor keeps the margins of the point ``log_value`` last scored
+(and, on the logistic loss, their exp(-|a|)).  ``log_grad_hessdiag`` at
+that point, passed as the same array with every byte unchanged, derives
+the derivatives from them instead of forming Z @ theta again; any other
+point is evaluated afresh.  Either way the result is the same, bit for bit.
+``log_value_many`` keeps nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import DiagGaussian, eval_log
-from .losses import LossKind, loss_derivatives, loss_kinks, loss_value
+from .losses import LossKind, loss_derivatives, loss_kinks, loss_slope, loss_terms, loss_value
 
 __all__ = [
     "PriorFactor",
@@ -54,29 +61,47 @@ class BoundFactor:
     ``log_value_many`` at a stack of points, and ``log_grad_hessdiag`` for
     the Laplace-style schemes.  ``loss``, ``beta`` and ``Z`` (rows
     y_k * x_k) are its margin-space view: log f(theta) = -beta * sum of
-    loss(Z @ theta), for schemes that solve in margin space.
+    loss(Z @ theta), for schemes that solve in margin space.  ``Z`` is read
+    from the dataset's ``signed_rows``: a view of them when ``batch`` is a
+    contiguous range, as ``partition`` makes it, and a copy otherwise.
     """
 
     def __init__(self, dataset, batch, loss: LossKind, beta: float = 1.0):
         if not 0 < beta < np.inf:
             raise ValueError("beta must be positive and finite")
         batch = np.asarray(batch, dtype=int).reshape(-1)  # example indices
-        self.Z = dataset.labels[batch, None] * dataset.features[batch]
+        rows = dataset.signed_rows
+        start = int(batch[0]) if batch.size else 0
+        if 0 <= start and start + batch.size <= len(rows) and (
+                batch == np.arange(start, start + batch.size)).all():
+            self.Z = rows[start : start + batch.size]
+        else:
+            self.Z = rows[batch]
         self.loss = loss
         self.beta = beta
         self._kinked = loss_kinks(loss) is not None
+        self._scored = None  # (theta, its bytes, margins, tail) of the last log_value
 
     def log_value(self, theta) -> float:
-        return -self.beta * float(loss_value(self.loss, self.Z @ theta).sum())
+        a = self.Z @ theta
+        values, tail = loss_terms(self.loss, a)
+        if type(theta) is np.ndarray:
+            self._scored = theta, theta.tobytes(), a, tail
+        return -self.beta * float(values.sum())
 
     def log_value_many(self, thetas) -> np.ndarray:
         return -self.beta * np.sum(loss_value(self.loss, thetas @ self.Z.T), axis=1)
 
     def log_grad_hessdiag(self, theta):
-        d1, d2 = loss_derivatives(self.loss, self.Z @ theta)
-        grad = -self.beta * (self.Z.T @ d1)
+        scored = self._scored
+        if scored is not None and scored[0] is theta and scored[1] == theta.tobytes():
+            a, tail = scored[2], scored[3]
+        else:
+            a, tail = self.Z @ theta, None
         if self._kinked:  # a piecewise-linear loss has no curvature
-            return grad, np.zeros(grad.size)
+            return -self.beta * (self.Z.T @ loss_slope(self.loss, a)), np.zeros(self.Z.shape[1])
+        d1, d2 = loss_derivatives(self.loss, a, tail)
+        grad = -self.beta * (self.Z.T @ d1)
         # Z * Z equals X * X, since every label is +1 or -1
         hessdiag = -self.beta * ((self.Z * self.Z).T @ d2)
         return grad, hessdiag

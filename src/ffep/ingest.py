@@ -31,6 +31,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +108,17 @@ class Dataset:
             raise ValueError("labels must be -1 or +1")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
+
+    @cached_property
+    def signed_rows(self) -> np.ndarray:
+        """The rows y_k * x_k, (N, d), formed once at first use and read-only.
+
+        Every margin y_k * theta.x_k is signed_rows @ theta: the factors'
+        ``Z``, the trace's costs and the references all read this table.
+        """
+        rows = self.labels[:, None] * self.features
+        rows.flags.writeable = False
+        return rows
 
     @property
     def n_examples(self) -> int:

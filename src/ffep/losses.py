@@ -26,8 +26,8 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["LossKind", "logistic", "hinge", "quasi01", "loss_from_name",
-           "loss_kinks", "loss_value", "loss_derivatives"]
+__all__ = ["LossKind", "logistic", "hinge", "quasi01", "loss_from_name", "KinkTable",
+           "loss_kinks", "loss_value", "loss_terms", "loss_slope", "loss_derivatives"]
 
 _VALID = ("logistic", "hinge", "quasi01")
 
@@ -63,8 +63,26 @@ def loss_from_name(name: str, epsilon: float = LossKind.epsilon) -> LossKind:
     return LossKind(name, epsilon) if name == "quasi01" else LossKind(name)
 
 
+class KinkTable(tuple):
+    """A piecewise-linear loss's (kinks, slopes) pair, read-only.
+
+    It also holds the constants a line search reads (``schemes._line_minimize``),
+    derived once: ``left_slope`` = slopes[0], ``jumps``, the slope change at
+    each kink, and their sum ``jump_sum``.
+    """
+
+    def __new__(cls, kinks: np.ndarray, slopes: np.ndarray):
+        table = super().__new__(cls, (kinks, slopes))
+        table.left_slope = slopes[0]
+        table.jumps = slopes[1:] - slopes[:-1]
+        table.jump_sum = table.jumps.sum()
+        for array in (kinks, slopes, table.jumps):
+            array.flags.writeable = False
+        return table
+
+
 @cache
-def loss_kinks(kind: LossKind) -> tuple[np.ndarray, np.ndarray] | None:
+def loss_kinks(kind: LossKind) -> KinkTable | None:
     """A piecewise-linear loss as its (kinks, slopes) table; None for logistic.
 
     ``kinks`` are the kink locations in increasing order and ``slopes`` the
@@ -75,32 +93,42 @@ def loss_kinks(kind: LossKind) -> tuple[np.ndarray, np.ndarray] | None:
     table is built once per LossKind, and its arrays are read-only.
     """
     if kind.name == "hinge":
-        table = np.array([1.0]), np.array([-1.0, 0.0])
-    elif kind.name == "quasi01":
+        return KinkTable(np.array([1.0]), np.array([-1.0, 0.0]))
+    if kind.name == "quasi01":
         eps = kind.epsilon
-        table = np.array([0.0, eps]), np.array([-eps, -1.0 / eps, 0.0])
-    else:
-        return None
-    for array in table:
-        array.flags.writeable = False
-    return table
+        return KinkTable(np.array([0.0, eps]), np.array([-eps, -1.0 / eps, 0.0]))
+    return None
+
+
+def _exp_neg_abs(a: np.ndarray) -> np.ndarray:
+    """exp(-|a|) in one new buffer, for an array of at least one dimension.
+
+    Both logistic formulas start from it, and it cannot overflow.
+    """
+    t = np.abs(a)
+    np.negative(t, out=t)
+    return np.exp(t, out=t)
+
+
+def _logistic(a: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log(1 + exp(-a)) = log1p(t) - min(a, 0) into ``out``, t being exp(-|a|).
+
+    It is several times faster than np.logaddexp.
+    """
+    np.log1p(t, out=out)
+    out -= np.minimum(a, 0.0)
+    return out
 
 
 def loss_value(kind: LossKind, a):
     """Loss at margin ``a``; elementwise over arrays."""
     a = np.asarray(a, dtype=float)
     if kind.name == "logistic":
-        # log(1 + exp(-a)) = log1p(exp(-|a|)) - min(a, 0): exp cannot
-        # overflow, and it is several times faster than np.logaddexp.  It
-        # works in one buffer on a flat array (so a 0-d input stays an
-        # array), plus the temporary min(a, 0).
+        # one buffer on a flat array (so a 0-d input stays an array), plus
+        # the temporary min(a, 0)
         flat = a.reshape(-1)
-        out = np.abs(flat)
-        np.negative(out, out=out)
-        np.exp(out, out=out)
-        np.log1p(out, out=out)
-        out -= np.minimum(flat, 0.0)
-        out = out.reshape(a.shape)
+        t = _exp_neg_abs(flat)
+        out = _logistic(flat, t, t).reshape(a.shape)
     elif kind.name == "hinge":
         out = np.maximum(0.0, 1.0 - a)
     else:
@@ -109,25 +137,47 @@ def loss_value(kind: LossKind, a):
     return out if out.ndim else float(out)
 
 
-def loss_derivatives(kind: LossKind, a):
+def loss_terms(kind: LossKind, a: np.ndarray):
+    """The loss at a 1-D array of margins, and the tail ``loss_derivatives`` reuses.
+
+    The tail is exp(-|a|) on the logistic loss, with which
+    ``loss_derivatives(kind, a, tail)`` forms no exponential, and None on the
+    piecewise-linear ones.  The values are ``loss_value``'s, bit for bit.
+    """
+    if kind.name != "logistic":
+        return loss_value(kind, a), None
+    t = _exp_neg_abs(a)
+    return _logistic(a, t, np.empty_like(t)), t
+
+
+def loss_slope(kind: LossKind, a):
+    """A piecewise-linear loss's first derivative at margin ``a``.
+
+    It is the half sum of the one-sided slopes of ``loss_kinks``' table,
+    which is the segment's slope away from a kink.
+    """
+    kinks, slopes = loss_kinks(kind)
+    return 0.5 * (slopes[kinks.searchsorted(a, "left")] + slopes[kinks.searchsorted(a, "right")])
+
+
+def loss_derivatives(kind: LossKind, a, tail=None):
     """First and second derivative of the loss with respect to the margin.
 
-    Piecewise-linear losses have identically zero second derivative; their
-    first derivative is the half sum of the one-sided slopes of
-    ``loss_kinks``' table, which is the segment's slope away from a kink.
+    Piecewise-linear losses have identically zero second derivative, and
+    their first is ``loss_slope``.  On the logistic loss ``tail``, when
+    given, is exp(-|a|) of the same margins, from ``loss_terms``.
     """
     a = np.asarray(a, dtype=float)
-    table = loss_kinks(kind)
-    if table is None:
-        # sigmoid(-a) and sigmoid(a) from one exp(-|a|), which cannot overflow
-        t = np.exp(-np.abs(a))
+    if kind.name == "logistic":
+        # sigmoid(-a) and sigmoid(a) from one exp(-|a|)
+        flat = a.reshape(-1)
+        t = _exp_neg_abs(flat) if tail is None else tail
         r = 1.0 / (1.0 + t)
         q = t * r
-        d1 = np.where(a < 0, -r, -q)
-        d2 = r * q
+        d1 = np.negative(np.where(flat < 0, r, q)).reshape(a.shape)
+        d2 = (r * q).reshape(a.shape)
     else:
-        kinks, slopes = table
-        d1 = 0.5 * (slopes[kinks.searchsorted(a, "left")] + slopes[kinks.searchsorted(a, "right")])
+        d1 = loss_slope(kind, a)
         d2 = np.zeros_like(a)
     if d1.ndim:
         return d1, d2

@@ -9,6 +9,12 @@ diagonal of log f.  A factor may add a margin-space view, ``loss``,
 ``beta`` and ``Z`` with log f(theta) = -beta * sum of loss(Z @ theta), as
 ``factors.BoundFactor`` does; ``la`` solves kinked batches through it.
 
+``la`` and ``qla`` take the derivatives at a point right after scoring it
+with ``log_value``, passing the same array, and never change a point in
+place.  A factor may therefore keep the margins ``log_value`` formed and
+derive the derivatives from them (``BoundFactor`` does, for the array it
+last scored while every byte of it is unchanged), at no change to any bit.
+
 * ``la``  - Laplace: find the maximizer of c*f, then fit the second-order
             Taylor expansion of log f there.  A hinge batch's maximizer
             solves a box QP exactly; other factors use damped diagonal
@@ -268,7 +274,8 @@ def _line_minimize(objective, Z, kinks, theta, direction, f0, c1, c2, beta):
 
     Along the line ``objective`` is beta * sum of loss(Z (theta +
     t*direction)) plus c1*t + c2*t^2 and a constant, ``kinks`` being the
-    loss's (kinks, slopes) table (``losses.loss_kinks``).  The margins along
+    loss's ``losses.KinkTable``, whose slope jumps and their sum are
+    derived once per loss.  The margins along
     the line are a + t*b, with a = Z theta and b = Z direction, so the loss
     sum is piecewise linear in t: where margin k crosses a kink, at
     t = (kink - a_k) / b_k, its slope jumps by the loss's slope change there
@@ -279,8 +286,7 @@ def _line_minimize(objective, Z, kinks, theta, direction, f0, c1, c2, beta):
     """
     if not c2 > 0.0:
         return theta, f0
-    kink_at, loss_slopes = kinks
-    left_slope, jumps = loss_slopes[0], loss_slopes[1:] - loss_slopes[:-1]
+    kink_at = kinks[0]
     a, b = Z @ theta, Z @ direction
     moving = b != 0
     a, b = a[moving], b[moving]
@@ -290,9 +296,9 @@ def _line_minimize(objective, Z, kinks, theta, direction, f0, c1, c2, beta):
     # slopes[j] is the slope of the loss sum plus c1*t between breaks[j-1] and
     # breaks[j].  Left of every breakpoint, margins with b > 0 lie left of
     # every kink and those with b < 0 right of every kink.
-    far_left = beta * (left_slope * b.sum() + jumps.sum() * b[b < 0].sum())
+    far_left = beta * (kinks.left_slope * b.sum() + kinks.jump_sum * b[b < 0].sum())
     slopes = np.concatenate(
-        ([c1 + far_left], (beta * jumps[:, None] * np.abs(b)).ravel()[order])).cumsum()
+        ([c1 + far_left], (beta * kinks.jumps[:, None] * np.abs(b)).ravel()[order])).cumsum()
     # The linear part's change from t = 0 to each breakpoint, summed outward
     # from the segment holding 0 so that far breakpoints add no rounding near
     # it.  knots[j] is the end of segment j nearest to 0, or 0 itself.
@@ -340,7 +346,12 @@ def _box_qp(Zw: np.ndarray, Z: np.ndarray, b: np.ndarray, hi: float,
 
     Once no multiplier is wrong-signed, the free rows are solved from their
     face once more, so that a row which travelled from hi to near 0 keeps
-    no cancellation error.
+    no cancellation error.  The result therefore depends only on the final
+    active set: bound rows hold exactly 0 or hi, and free rows are re-solved
+    from their face.  Changing the path's intermediate arithmetic moves no
+    output bit unless it changes a decision on the path (which row is freed,
+    which bound a step meets); on a rank-deficient batch a changed path can
+    end on a different optimal face.
     """
     s = b.size
     a = np.where(start, hi, 0.0)
@@ -359,8 +370,11 @@ def _box_qp(Zw: np.ndarray, Z: np.ndarray, b: np.ndarray, hi: float,
         u = a @ Z
         if at_face_min:
             g = Zw @ u - b
-            excess = side * g - (tol_zw @ (a @ abs_z) + tol_b)
+            excess = side * g
             j = excess.argmax()
+            if excess[j] > 0.0:  # the tolerance is nonnegative: only now can it matter
+                excess -= tol_zw @ (a @ abs_z) + tol_b
+                j = excess.argmax()
             if not excess[j] > 0.0:
                 if rows.size:  # re-solve the face once, free of the path's rounding
                     zw_f, q_ff = face(rows)
@@ -369,14 +383,24 @@ def _box_qp(Zw: np.ndarray, Z: np.ndarray, b: np.ndarray, hi: float,
                 return a
             side[j] = 0.0
             q_jj = Zw[j] @ Z[j]
-            if rows.size:
-                zw_f, q_ff = face(rows)
-                q = zw_f @ Z[j]
-                w = np.linalg.solve(q_ff, q)
-                moving, step = np.concatenate((rows, [j])), np.concatenate((-w, [1.0]))
-                schur = q_jj - q @ w
-            else:  # row j moves alone
-                moving, step, schur = np.array([j]), np.array([1.0]), q_jj
+            if not rows.size:  # row j moves alone: the step below, in scalars
+                a_j = a[j]
+                if q_jj > _QP_DEPENDENT * q_jj:  # its Schur complement is q_jj
+                    step, full = -g[j] / q_jj, 1.0
+                else:
+                    step, full = (-1.0 if a_j != 0.0 else 1.0), np.inf
+                up = step > 0.0
+                room = (hi - a_j if up else a_j) / abs(step) if step != 0.0 else np.inf
+                if room >= full:
+                    a[j] = np.minimum(np.maximum(a_j + step, 0.0), hi)
+                else:
+                    a[j], side[j] = (hi, 1.0) if up else (0.0, -1.0)
+                continue  # either way the one free row sits at its face's minimum
+            zw_f, q_ff = face(rows)
+            q = zw_f @ Z[j]
+            w = np.linalg.solve(q_ff, q)
+            moving, step = np.concatenate((rows, [j])), np.concatenate((-w, [1.0]))
+            schur = q_jj - q @ w
             if schur > _QP_DEPENDENT * q_jj:
                 step *= -g[j] / schur  # the Newton step of the bordered system
                 full = 1.0

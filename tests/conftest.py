@@ -2,8 +2,10 @@
 
 import re
 
+import numpy as np
 import pytest
 
+from ffep.factors import BoundFactor
 from ffep.ingest import ColumnSchema, bundled_synthetic_path, load_csv, preprocess
 
 
@@ -15,6 +17,38 @@ def synthetic_dataset():
         numeric=("age", "year", "nodes"),
     )
     return preprocess(load_csv(bundled_synthetic_path(), schema), name="synthetic")
+
+
+class _CountedRows(np.ndarray):
+    """A factor's Z that records each product Z @ theta, the margins of a point.
+
+    Its transpose and Z * Z are new arrays without ``passes``, so the
+    derivative products Z^T d1 and (Z * Z)^T d2 are not counted.
+    """
+
+    def __matmul__(self, other):
+        passes = getattr(self, "passes", None)
+        if passes is not None:
+            passes.append(np.asarray(other).tobytes())
+        return np.asarray(self) @ other
+
+
+@pytest.fixture
+def margin_passes(monkeypatch):
+    """The points whose margins a BoundFactor's log_value or log_grad_hessdiag form."""
+    passes = []
+    for name in ("log_value", "log_grad_hessdiag"):
+        def counting(factor, theta, real=getattr(BoundFactor, name)):
+            rows = factor.Z
+            factor.Z = rows.view(_CountedRows)
+            factor.Z.passes = passes
+            try:
+                return real(factor, theta)
+            finally:
+                factor.Z = rows
+
+        monkeypatch.setattr(BoundFactor, name, counting)
+    return passes
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -515,6 +515,17 @@ class TestStackedCosts:
                 margins = ds.labels * (ds.features @ theta)
                 assert cost == float(np.sum(loss_value(loss, margins)))
 
+    def test_stacked_margins_are_the_labelled_product_bit_for_bit(self):
+        # signed_rows @ theta is -(x . theta) exactly where y = -1: negating
+        # every term of a sum negates its rounded value
+        rng = np.random.default_rng(52)
+        ds = random_dataset(rng, 300, 6)
+        thetas = rng.normal(size=(7, 6))
+        for loss in (logistic(), hinge(), quasi01()):
+            costs = classification_costs(thetas, ds, loss)
+            margins = (thetas @ ds.features.T) * ds.labels
+            assert costs.tobytes() == loss_value(loss, margins).sum(axis=1).tobytes()
+
     def test_blocks_smaller_than_the_due_visits(self, monkeypatch):
         rng = np.random.default_rng(51)
         ds = random_dataset(rng, 40, 3)

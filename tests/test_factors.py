@@ -10,7 +10,7 @@ from ffep.factors import (
     prior_as_message,
 )
 from ffep.gaussian import DiagGaussian, eval_log
-from ffep.ingest import Dataset
+from ffep.ingest import Dataset, partition
 from ffep.losses import hinge, logistic, loss_derivatives, loss_value, quasi01
 
 
@@ -193,6 +193,112 @@ class TestBoundFactor:
         many = bound.log_value_many(thetas)
         each = [bound.log_value(t) for t in thetas]
         np.testing.assert_allclose(many, each, rtol=1e-14)
+
+
+def bits(*arrays):
+    """The bytes of each array, so that == compares every bit, signs of zero too."""
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+# margins past exp's +/-745 underflow, signed zeros, and both quasi 0-1
+# (epsilon 0.1) kinks and the hinge kink with their float neighbours
+EDGE_KINKS = np.array([0.0, 0.1, 1.0])
+EDGE_MARGINS = np.concatenate([
+    [-800.0, -746.0, -745.5, 745.5, 746.0, 800.0, 0.0, -0.0, -3.7, 2.2],
+    EDGE_KINKS, np.nextafter(EDGE_KINKS, -np.inf), np.nextafter(EDGE_KINKS, np.inf)])
+KEPT_LOSSES = [logistic(), hinge(), quasi01(0.1)]
+
+
+class TestKeptMargins:
+    """log_grad_hessdiag at the point log_value last scored reuses its margins."""
+
+    @pytest.mark.parametrize("loss", KEPT_LOSSES, ids=lambda k: k.name)
+    def test_reused_derivatives_are_a_fresh_factors_bit_for_bit(self, loss, margin_passes):
+        rng = np.random.default_rng(12)
+        labels = np.where(rng.random(EDGE_MARGINS.size) < 0.5, -1.0, 1.0)
+        edge = Dataset(features=(labels * EDGE_MARGINS)[:, None], labels=labels)
+        wide = toy_dataset(rng, n=40, d=3)
+        for ds, theta in ((edge, np.ones(1)), (wide, 300.0 * rng.normal(size=3))):
+            batch = np.arange(ds.n_examples)
+            scored = BoundFactor(ds, batch, loss, beta=1.5)
+            value = scored.log_value(theta)
+            assert value == -1.5 * float(loss_value(loss, ds.signed_rows @ theta).sum())
+            del margin_passes[:]
+            kept = scored.log_grad_hessdiag(theta)
+            assert margin_passes == []  # no Z @ theta: derived from the kept margins
+            fresh = BoundFactor(ds, batch, loss, beta=1.5).log_grad_hessdiag(theta)
+            assert len(margin_passes) == 1
+            assert bits(*kept) == bits(*fresh)
+
+    def test_a_point_changed_after_scoring_is_evaluated_afresh(self, margin_passes):
+        ds = toy_dataset(np.random.default_rng(13))
+        factor = BoundFactor(ds, np.arange(12), logistic())
+
+        def fresh(theta):
+            return bits(*BoundFactor(ds, np.arange(12), logistic()).log_grad_hessdiag(theta))
+
+        theta = np.array([0.3, -1.2, 0.7])
+        factor.log_value(theta)
+        theta[1] = 2.5  # changed in place
+        del margin_passes[:]
+        assert bits(*factor.log_grad_hessdiag(theta)) == fresh(theta.copy())
+        assert len(margin_passes) == 2  # the factor's own pass and the fresh factor's
+
+        base = np.array([0.3, -1.2, 0.7])
+        view = base[:]
+        view.flags.writeable = False
+        factor.log_value(view)
+        base[0] = -4.0  # a read-only view whose base changed
+        assert bits(*factor.log_grad_hessdiag(view)) == fresh(base.copy())
+
+        factor.log_value(theta)
+        del margin_passes[:]
+        factor.log_grad_hessdiag(theta.copy())  # equal values, another array
+        assert len(margin_passes) == 1
+
+    def test_log_value_many_keeps_nothing(self, margin_passes):
+        ds = toy_dataset(np.random.default_rng(14))
+        factor = BoundFactor(ds, np.arange(12), logistic())
+        thetas = np.random.default_rng(15).normal(size=(4, 3))
+        point = thetas[0]
+        factor.log_value(point)
+        factor.log_value_many(thetas)
+        del margin_passes[:]
+        factor.log_grad_hessdiag(point)
+        assert margin_passes == []  # still the point log_value scored
+        factor.log_grad_hessdiag(thetas[1])
+        assert len(margin_passes) == 1
+
+
+class TestSignedRows:
+    """Every factor's Z reads the dataset's one table of rows y_k x_k."""
+
+    def test_table_is_formed_once_and_read_only(self):
+        ds = toy_dataset(np.random.default_rng(16))
+        rows = ds.signed_rows
+        assert ds.signed_rows is rows and not rows.flags.writeable
+        assert bits(rows) == bits(ds.labels[:, None] * ds.features)
+
+    @pytest.mark.parametrize("s", [1, 5, 12])
+    def test_partition_batches_are_row_views(self, s):
+        ds = toy_dataset(np.random.default_rng(17))
+        for batch in partition(ds, s):
+            factor = BoundFactor(ds, batch, hinge())
+            assert factor.Z.base is ds.signed_rows
+            assert bits(factor.Z) == bits(ds.labels[batch, None] * ds.features[batch])
+
+    @pytest.mark.parametrize("batch", [[4, 0, 2], [2, 2, 3], [-2, -1], [], [3, 5]])
+    def test_other_batches_are_copies(self, batch):
+        ds = toy_dataset(np.random.default_rng(18))
+        factor = BoundFactor(ds, batch, hinge())
+        assert not np.shares_memory(factor.Z, ds.signed_rows)
+        assert factor.Z.shape == (len(batch), ds.dim)
+        assert bits(factor.Z) == bits(ds.labels[batch, None] * ds.features[batch])
+
+    def test_a_batch_past_the_last_row_raises(self):
+        ds = toy_dataset(np.random.default_rng(19))
+        with pytest.raises(IndexError):
+            BoundFactor(ds, [10, 11, 12], hinge())
 
 
 class TestGaussianFactor:

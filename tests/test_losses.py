@@ -13,6 +13,8 @@ from ffep.losses import (
     loss_value,
     loss_from_name,
     loss_kinks,
+    loss_slope,
+    loss_terms,
     quasi01,
 )
 
@@ -211,6 +213,62 @@ class TestKinkTable:
             assert not built.flags.writeable
             with pytest.raises(ValueError):
                 built[0] = 2.0
+
+
+    @pytest.mark.parametrize("kind", [hinge(), quasi01(0.1), quasi01(0.5)],
+                             ids=["hinge", "quasi01_0.1", "quasi01_0.5"])
+    def test_line_search_constants_are_derived_once(self, kind):
+        table = loss_kinks(kind)
+        slopes = table[1]
+        assert table.left_slope == slopes[0]
+        np.testing.assert_array_equal(table.jumps, slopes[1:] - slopes[:-1])
+        assert table.jump_sum == table.jumps.sum()
+        assert loss_kinks(LossKind(kind.name, kind.epsilon)).jumps is table.jumps
+        with pytest.raises(ValueError):
+            table.jumps[0] = 2.0
+
+
+def scored_margins(rng):
+    """Random margins plus exp's +/-745 underflow, signed zeros and every kink
+    with its float neighbours."""
+    kinks = np.array([0.0, 0.1, 0.5, 1.0])
+    return np.concatenate([rng.normal(scale=5.0, size=200), [-800.0, -745.5, 745.5, 800.0, -0.0],
+                           kinks, np.nextafter(kinks, -1.0), np.nextafter(kinks, 2.0)])
+
+
+class TestScoredTerms:
+    """loss_terms scores margins once; loss_derivatives reuses its tail."""
+
+    @pytest.mark.parametrize("kind", [logistic(), hinge(), quasi01(0.1), quasi01(0.5)],
+                             ids=lambda k: f"{k.name}_{k.epsilon}")
+    def test_terms_are_loss_value_bit_for_bit(self, kind):
+        a = scored_margins(np.random.default_rng(40))
+        values, tail = loss_terms(kind, a)
+        assert values.tobytes() == loss_value(kind, a).tobytes()
+        if kind.name == "logistic":
+            assert tail.tobytes() == np.exp(-np.abs(a)).tobytes()
+        else:
+            assert tail is None
+
+    def test_logistic_derivatives_from_the_tail_are_bit_for_bit(self):
+        a = scored_margins(np.random.default_rng(41))
+        # the sigmoid pair written out from one exp(-|a|)
+        t = np.exp(-np.abs(a))
+        r = 1.0 / (1.0 + t)
+        expected = np.where(a < 0, -r, -t * r), r * (t * r)
+        for d, e in zip(loss_derivatives(logistic(), a, loss_terms(logistic(), a)[1]), expected):
+            assert d.tobytes() == e.tobytes()
+        for d, e in zip(loss_derivatives(logistic(), a), expected):
+            assert d.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("kind", [hinge(), quasi01(0.1), quasi01(0.5)],
+                             ids=["hinge", "quasi01_0.1", "quasi01_0.5"])
+    def test_slope_is_the_first_derivative(self, kind):
+        a = scored_margins(np.random.default_rng(42))
+        d1, d2 = loss_derivatives(kind, a)
+        assert loss_slope(kind, a).tobytes() == d1.tobytes()
+        assert loss_slope(kind, 1.0) == loss_derivatives(kind, 1.0)[0]
+        assert not d2.any()
 
 
 class TestSelection:

@@ -1,5 +1,6 @@
 """Factor-approximation schemes: quadrature rule, LA, QLA, GQ, VQ."""
 
+import hashlib
 import itertools
 from collections import namedtuple
 
@@ -44,6 +45,10 @@ from oracles import (
     log_gauss_1d,
     surrogate_value_grad_hess,
 )
+
+# Frozen from _box_qp when its one-row steps were array code: the sha256 of
+# the outputs of test_one_row_steps_are_bit_for_bit's 160 problems.
+QP_ONE_ROW_DIGEST = "7ec9ab8da233dc6f4c5d7cd04aa044f142c9a474f4a02c7727f6fd3ceaf7646b"
 
 # Frozen from a 1-D root-finding oracle: theta* solving theta = 1/(1+e^theta),
 # the maximizer of -theta^2/2 - log(1+e^-theta), and the curvature
@@ -762,6 +767,61 @@ class TestHingeMode:
                                        rtol=1e-10, atol=1e-10 * (1.0 + np.abs(mu).max()))
         assert singular >= 100
 
+    @pytest.mark.parametrize("hi", [0.5, 50.0])
+    def test_a_dependent_row_takes_the_null_step_to_its_other_bound(self, hi):
+        """A zero row has a zero Q column.  With a wrong-signed multiplier it is
+        freed alone along the null direction, and runs to its other bound."""
+        Z = np.array([[0.0, 0.0], [1.0, 2.0]])
+        # at 0 the zero row's gradient is -b = -1; at hi it is +1
+        for b, start, expected in (([1.0, -3.0], [False, False], [hi, 0.0]),
+                                   ([-1.0, 3.0], [True, False], [0.0, min(hi, 0.6)])):
+            a = schemes._box_qp(Z, Z, np.array(b), hi, np.array(start))
+            assert a.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("hi, start, expected", [
+        (0.75, False, 0.75), (0.75, True, 0.75),
+        (np.nextafter(0.75, 0.0), False, np.nextafter(0.75, 0.0)),
+        (np.nextafter(0.75, 0.0), True, np.nextafter(0.75, 0.0)),
+        (np.nextafter(0.75, 1.0), False, 0.75),
+        # at hi the multiplier is wrong by 2^-51, inside the KKT tolerance
+        (np.nextafter(0.75, 1.0), True, np.nextafter(0.75, 1.0)),
+        (3.0, False, 0.75), (3.0, True, 0.75),
+    ])
+    def test_a_one_row_newton_step_meets_the_other_bound_exactly(self, hi, start, expected):
+        """One row with Q = 4 and b = 3: the unconstrained minimum is 0.75.
+        From 0 the Newton step reaches it, lands exactly on hi = 0.75 or
+        passes hi; from hi it comes back to 0.75 or stays."""
+        z = np.array([[2.0]])
+        a = schemes._box_qp(z, z, np.array([3.0]), hi, np.array([start]))
+        assert a.tobytes() == np.array([expected]).tobytes()
+        # from hi a step of exactly -hi lands on 0, positive zero
+        assert schemes._box_qp(z, z, np.array([0.0]), hi, np.array([True])).tobytes() == \
+            np.zeros(1).tobytes()
+
+    def test_one_row_steps_are_bit_for_bit(self):
+        """160 problems, s > d and s <= d, each of which leaves its start
+        vertex, so its first step frees one row alone.  Their outputs hash
+        to what the array-code step gave, and each meets the KKT conditions."""
+        rng = np.random.default_rng(69)
+        digest = hashlib.sha256()
+        for s, d in ((10, 4), (30, 5), (10, 20), (5, 30)):
+            for i in range(40):
+                Z = rng.normal(size=(s, d))
+                if i % 4 == 1:
+                    Z[rng.integers(s)] = 0.0  # a zero row
+                elif i % 4 == 2:
+                    Z[-1] = -Z[0]  # a sign-flipped row
+                lam = np.exp(rng.uniform(-3.0, 3.0, size=d))
+                mu = rng.uniform(-2.0, 2.0, size=d) / np.sqrt(d)
+                b = 1.0 - Z @ mu
+                beta = (0.01, 1.0, 50.0, 1000.0)[i % 4]
+                start = b > 0.0 if i % 2 else np.zeros(s, dtype=bool)
+                alpha = schemes._box_qp(Z / lam, Z, b, beta, start)
+                assert not np.array_equal(alpha, np.where(start, beta, 0.0))
+                assert_box_qp_kkt((Z / lam) @ Z.T, b, alpha, beta)
+                digest.update(alpha.tobytes())
+        assert digest.hexdigest() == QP_ONE_ROW_DIGEST
+
     def test_single_example_is_the_clipped_closed_form(self):
         rng = np.random.default_rng(62)
         for beta in (1.0, 50.0):
@@ -858,18 +918,23 @@ class TestLaplaceOnSynthetic306:
         (logistic(), 815, 815), (hinge(), 155, 0), (quasi01(), 371, 305),
     ], ids=lambda v: getattr(v, "name", v))
     def test_each_visit_evaluates_each_point_once(self, synthetic_dataset, monkeypatch,
-                                                  loss, log_values, gradients):
+                                                  margin_passes, loss, log_values, gradients):
         """The mode's value and derivatives come from the search that found it.
 
         On logistic the search scores its start and every iterate with
         log_value and takes log_grad_hessdiag at every iterate, the mode
         included, so the two counts agree: 815 each over the 155 visits.
+        Each derivative is taken at the point log_value scored last, so it
+        forms no margins: a visit forms Z @ theta once per point it scores.
         """
         visits = []
 
         def visit(cavity, factor, scheme, real=approx_laplace):
             visits.append({"log_value": [], "log_grad_hessdiag": []})
-            return real(cavity, factor, scheme)
+            passes = len(margin_passes)
+            message = real(cavity, factor, scheme)
+            assert margin_passes[passes:] == visits[-1]["log_value"]
+            return message
 
         for name in ("log_value", "log_grad_hessdiag"):
             def counting(factor, theta, real=getattr(BoundFactor, name), name=name):
@@ -886,6 +951,7 @@ class TestLaplaceOnSynthetic306:
                 assert len(set(evaluated)) == len(evaluated)
         assert sum(len(v["log_value"]) for v in visits) == log_values
         assert sum(len(v["log_grad_hessdiag"]) for v in visits) == gradients
+        assert len(margin_passes) == log_values  # 1,630 and 676 when derivatives re-formed them
 
     def test_logistic_posterior_is_unchanged(self, synthetic_dataset):
         cfg = EpConfig(scheme=SchemeKind("la"), loss=logistic(), batch_size=10)
@@ -895,6 +961,57 @@ class TestLaplaceOnSynthetic306:
         assert g.log_scale == float.fromhex(log_scale)
         np.testing.assert_array_equal(g.linear, [float.fromhex(x) for x in linear])
         np.testing.assert_array_equal(g.neg_half_precision, [float.fromhex(x) for x in nhp])
+
+
+def generated_table(n, d, seed):
+    """A seeded table shaped like the benchmark's generated ones: standard
+    normal features, labels from a logistic link with a tenth of them
+    flipped, columns scaled to unit norm and a baseline column last."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d - 1))
+    w = rng.standard_normal(d - 1)
+    p = 1.0 / (1.0 + np.exp(-(X @ (1.5 * w / np.linalg.norm(w)) + 0.3)))
+    y = (rng.random(n) < p) ^ (rng.random(n) < 0.1)
+    return Dataset(features=np.column_stack([X / np.linalg.norm(X, axis=0), np.ones(n)]),
+                   labels=np.where(y, 1.0, -1.0))
+
+
+class TestKeptMarginsEndToEnd:
+    """Runs at the benchmark's wider shapes are bit for bit the same whether
+    log_grad_hessdiag derives from log_value's margins or forms them again."""
+
+    @pytest.mark.parametrize("scheme", ["la", "qla", "gq", "vq"])
+    @pytest.mark.parametrize("shape", ["d20-s10-streaming", "d100-s100-looping"])
+    def test_reusing_margins_moves_no_bit(self, monkeypatch, margin_passes, shape, scheme):
+        if shape.startswith("d20"):
+            ds, settings = generated_table(1000, 20, 70), dict(batch_size=10, mode="streaming")
+        else:
+            ds, settings = generated_table(1000, 100, 71), dict(batch_size=100, n_sweeps=1)
+
+        def outcomes():
+            runs = []
+            for loss in (logistic(), hinge(), quasi01()):
+                cfg = EpConfig(scheme=SchemeKind(scheme), loss=loss, **settings)
+                state, trace = ep_run(cfg, ds)
+                g = state.global_approx
+                runs.append([np.array([g.log_scale]).tobytes(), g.linear.tobytes(),
+                             g.neg_half_precision.tobytes(),
+                             np.array([r.total_cost for r in trace.records]).tobytes(),
+                             [r.update_status for r in trace.records]])
+            return runs, len(margin_passes)
+
+        reused, passes = outcomes()
+        del margin_passes[:]
+        real = BoundFactor.log_grad_hessdiag
+        # another array with the same values: the kept margins are not served
+        monkeypatch.setattr(BoundFactor, "log_grad_hessdiag",
+                            lambda factor, theta: real(factor, theta.copy()))
+        defeated, passes_defeated = outcomes()
+        assert defeated == reused
+        if scheme in ("la", "qla"):
+            assert passes < passes_defeated
+        else:  # gq and vq take no derivatives
+            assert passes == passes_defeated == 0
 
 
 class TestQuickLaplace:
