@@ -136,7 +136,7 @@ def reference_powell(dataset: Dataset, loss: LossKind, theta_init,
         # the prior term changes by c1*t + c2*t^2 along the line
         c1 = float(theta @ direction) / prior.variance
         c2 = float(direction @ direction) / (2.0 * prior.variance)
-        return _line_minimize(objective, Z, kinks, theta, direction, f0, c1, c2, 1.0)
+        return _line_minimize(objective, Z, kinks, theta, Z @ theta, direction, f0, c1, c2, 1.0)
 
     theta = np.asarray(theta_init, dtype=float).copy()
     d = theta.size

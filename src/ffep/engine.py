@@ -300,9 +300,11 @@ def ep_run_factors(factors, dim: int, config: EpConfig, cost_fn=None):
     """Run EP over an explicit factor list.
 
     Each factor exposes ``log_value(theta)``, ``log_value_many(thetas)``
-    (an (m, d) stack to m values) and, for ``la`` and ``qla``,
-    ``log_grad_hessdiag(theta)``, as ``BoundFactor`` and ``GaussianFactor``
-    do; ``schemes`` describes the optional margin-space view.  Factors and
+    (an (m, d) stack to m values), ``log_value_axes(center, offsets)`` (the
+    center and its +/- spoke on every axis, for ``vq``) and, for ``la`` and
+    ``qla``, ``log_grad_hessdiag(theta)``, as ``BoundFactor`` and
+    ``GaussianFactor`` do; a scheme calls only the methods it needs, which
+    ``schemes`` lists along with the optional margin-space view.  Factors and
     schemes must be deterministic: the same cavity and factor give the same
     candidate, or the same failure, on every call.  The repeat rule in the
     module docstring relies on it.

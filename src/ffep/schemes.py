@@ -2,18 +2,27 @@
 
 Each scheme answers the same question: given a proper diagonal-Gaussian
 cavity c and a black-box factor f, produce a DiagGaussian message g
-standing in for f.  A factor exposes ``log_value(theta)`` and
-``log_value_many(thetas)`` (an (m, d) stack to m log-values); ``la`` and
-``qla`` also call ``log_grad_hessdiag(theta)``, the gradient and Hessian
-diagonal of log f.  A factor may add a margin-space view, ``loss``,
-``beta`` and ``Z`` with log f(theta) = -beta * sum of loss(Z @ theta), as
-``factors.BoundFactor`` does; ``la`` solves kinked batches through it.
+standing in for f.  Each scheme calls only the factor methods it needs:
+
+* ``la`` and ``qla``: ``log_value(theta)`` and ``log_grad_hessdiag(theta)``,
+  the gradient and Hessian diagonal of log f, and ``la``'s step halving
+  also ``log_value_many(thetas)`` (an (m, d) stack to m log-values);
+* ``gq``: ``log_value_many`` at the sigma points of ``build_rule``;
+* ``vq``: ``log_value_axes(center, offsets)``, log f at the center and at
+  center +/- offsets_i e_i on every axis i, as (l_0, l_+, l_-).
+
+A factor may add a margin-space view, ``loss``, ``beta``, ``Z`` with
+log f(theta) = -beta * sum of loss(Z @ theta), and ``margins(theta)``, the
+margins Z @ theta, as ``factors.BoundFactor`` does; ``la`` solves kinked
+batches through it.
 
 ``la`` and ``qla`` take the derivatives at a point right after scoring it
 with ``log_value``, passing the same array, and never change a point in
 place.  A factor may therefore keep the margins ``log_value`` formed and
 derive the derivatives from them (``BoundFactor`` does, for the array it
 last scored while every byte of it is unchanged), at no change to any bit.
+``la``'s exact line search on a kinked batch starts at such a point too,
+and reads its margins through ``margins``.
 
 * ``la``  - Laplace: find the maximizer of c*f, then fit the second-order
             Taylor expansion of log f there.  A hinge batch's maximizer
@@ -30,7 +39,10 @@ last scored while every byte of it is unchanged), at no change to any bit.
 * ``vq``  - variational quadrature: the Taylor fit of ``qla``, taken at the
             cavity mean, with the slope and curvature of log f read as
             central differences over the ``gq`` sigma points (step
-            gamma*sigma_i on axis i) instead of exact derivatives.  That is
+            gamma*sigma_i on axis i) instead of exact derivatives.  It reads
+            the 2d+1 values through ``log_value_axes``, which a margin view
+            answers from one (2d+1, s) margin array in O(s*d), with no
+            (2d+1, d) point stack.  That is
             the log-quadratic through the center and both spokes of every
             axis, and the stationary point of the quadrature-discretized
             generalized KL divergence D(c*f || c*g).  Exact whenever f itself
@@ -135,12 +147,18 @@ class QuadratureRule:
     points: np.ndarray  # (2d+1, d): center, then +gamma spokes, then -gamma spokes
     weights: np.ndarray  # (2d+1,)
     gamma: float
-    offsets: np.ndarray  # (d,): gamma * sigma_i, how far the spokes on axis i reach
 
 
 def default_gamma(d: int) -> float:
     """Spread making all 2d+1 weights equal (and hence none zero or negative)."""
     return float(np.sqrt(d + 0.5))
+
+
+def _spokes(cavity: DiagGaussian, gamma: float | None):
+    """The cavity mean, the spread gamma and the spoke lengths gamma*sigma_i."""
+    mu = cavity.mean
+    g = default_gamma(mu.size) if gamma is None else float(gamma)
+    return mu, g, g * np.sqrt(cavity.variance)
 
 
 def build_rule(cavity: DiagGaussian, gamma: float | None = None) -> QuadratureRule:
@@ -150,10 +168,8 @@ def build_rule(cavity: DiagGaussian, gamma: float | None = None) -> QuadratureRu
     spoke; they sum to one for any gamma, and the rule integrates polynomials
     of total degree <= 3 against the cavity exactly.
     """
-    d = cavity.dim
-    g = default_gamma(d) if gamma is None else float(gamma)
-    mu = cavity.mean
-    offs = g * np.sqrt(cavity.variance)
+    mu, g, offs = _spokes(cavity, gamma)
+    d = mu.size
     pts = np.empty((2 * d + 1, d))
     pts[:] = mu
     # a block of d spokes, flattened, holds its moved coordinates every d+1 entries
@@ -161,16 +177,10 @@ def build_rule(cavity: DiagGaussian, gamma: float | None = None) -> QuadratureRu
     pts[d + 1 :].reshape(-1)[:: d + 1] = mu - offs
     w = np.full(2 * d + 1, 1.0 / (2.0 * g * g))
     w[0] = 1.0 - d / (g * g)
-    return QuadratureRule(points=pts, weights=w, gamma=g, offsets=offs)
+    return QuadratureRule(points=pts, weights=w, gamma=g)
 
 
-def _sigma_log_values(cavity: DiagGaussian, factor, gamma: float | None):
-    """The cavity's sigma-point rule and the log-factor at its points."""
-    rule = build_rule(cavity, gamma)
-    logf = factor.log_value_many(rule.points)
-    if not np.isfinite(np.max(logf)):
-        raise SchemeFailure("factor vanishes (or is undefined) at every quadrature point")
-    return rule, logf
+_VANISHES = "factor vanishes (or is undefined) at every quadrature point"
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +251,8 @@ def _newton_mode(cavity: DiagGaussian, factor, scheme: SchemeKind, kinks):
         if not np.isfinite(step).all():
             raise SchemeFailure("non-finite Newton step in Laplace maximization")
         if kinks is not None:  # c1 = -grad_c . u, as grad_c = L (mu - theta)
-            cand, neg = _line_minimize(neg_log_tilted, factor.Z, kinks, theta, step, -obj,
+            cand, neg = _line_minimize(neg_log_tilted, factor.Z, kinks, theta,
+                                       factor.margins(theta), step, -obj,
                                        -float(grad_c @ step), 0.5 * float(lam @ (step * step)),
                                        factor.beta)
             if cand is theta:  # the exact minimizer along the Newton direction stays put
@@ -269,14 +280,15 @@ def _newton_mode(cavity: DiagGaussian, factor, scheme: SchemeKind, kinks):
     raise SchemeFailure("Laplace maximization did not converge")
 
 
-def _line_minimize(objective, Z, kinks, theta, direction, f0, c1, c2, beta):
+def _line_minimize(objective, Z, kinks, theta, a, direction, f0, c1, c2, beta):
     """Exact minimization of t -> objective(theta + t*direction); never moves uphill.
 
     Along the line ``objective`` is beta * sum of loss(Z (theta +
     t*direction)) plus c1*t + c2*t^2 and a constant, ``kinks`` being the
     loss's ``losses.KinkTable``, whose slope jumps and their sum are
     derived once per loss.  The margins along
-    the line are a + t*b, with a = Z theta and b = Z direction, so the loss
+    the line are a + t*b, with a = Z theta (passed in, as the caller may
+    hold it already) and b = Z direction, so the loss
     sum is piecewise linear in t: where margin k crosses a kink, at
     t = (kink - a_k) / b_k, its slope jumps by the loss's slope change there
     times |b_k|.  With c2 > 0 the minimum is the best of the segments'
@@ -287,7 +299,7 @@ def _line_minimize(objective, Z, kinks, theta, direction, f0, c1, c2, beta):
     if not c2 > 0.0:
         return theta, f0
     kink_at = kinks[0]
-    a, b = Z @ theta, Z @ direction
+    b = Z @ direction
     moving = b != 0
     a, b = a[moving], b[moving]
     breaks = ((kink_at[:, None] - a) / b).ravel()
@@ -508,8 +520,11 @@ def approx_gauss_quadrature(cavity: DiagGaussian, factor,
     in natural parameters (exact) and may yield an improper message.
     """
     scheme = scheme or SchemeKind("gq")
-    rule, logf = _sigma_log_values(cavity, factor, scheme.gamma)
+    rule = build_rule(cavity, scheme.gamma)
+    logf = factor.log_value_many(rule.points)
     shift = float(np.max(logf))
+    if not np.isfinite(shift):
+        raise SchemeFailure(_VANISHES)
     f = np.exp(logf - shift)
     wf = rule.weights * f
     m0 = float(np.sum(wf))
@@ -537,6 +552,8 @@ def approx_variational_quadrature(cavity: DiagGaussian, factor,
     (l_+i + l_-i - 2 l_0)/h_i^2, and the message is _taylor_message at mu
     with them: the log-quadratic through the center and both spokes of
     every axis.  ``qla`` builds the same message from exact derivatives.
+    The 2d+1 values come from one ``log_value_axes`` call; no rule or
+    point stack is built.
 
     It is also the variational answer.  The rule has 2d+1 points and the
     quadrature-discretized generalized KL surrogate 2d+1 monomials (the
@@ -548,14 +565,13 @@ def approx_variational_quadrature(cavity: DiagGaussian, factor,
     needs no rejection.
     """
     scheme = scheme or SchemeKind("vq")
-    rule, logf = _sigma_log_values(cavity, factor, scheme.gamma)
-    h = rule.offsets
-    d = h.size
-    l0, lp, lm = logf[0], logf[1 : d + 1], logf[d + 1 :]
+    mu, _, h = _spokes(cavity, scheme.gamma)
+    l0, lp, lm = factor.log_value_axes(mu, h)
+    if not np.isfinite(np.maximum(np.maximum(lp, lm).max(), l0)):  # NaN if any is NaN
+        raise SchemeFailure(_VANISHES)
     # a dead spoke (log f = -inf) makes the message non-finite; the gate rejects it
     with np.errstate(all="ignore"):
-        return _taylor_message(rule.points[0], l0, (lp - lm) / (2.0 * h),
-                               (lp + lm - 2.0 * l0) / (h * h))
+        return _taylor_message(mu, l0, (lp - lm) / (2.0 * h), (lp + lm - 2.0 * l0) / (h * h))
 
 
 # ---------------------------------------------------------------------------

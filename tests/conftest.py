@@ -51,6 +51,22 @@ def margin_passes(monkeypatch):
     return passes
 
 
+@pytest.fixture
+def row_products(monkeypatch):
+    """Every vector v whose product Z @ v a BoundFactor's rows form, whoever
+    asks for it: the factor's own methods or a scheme reading ``Z``."""
+    products = []
+    init = BoundFactor.__init__
+
+    def counting(factor, *args, **kwargs):
+        init(factor, *args, **kwargs)
+        factor.Z = factor.Z.view(_CountedRows)
+        factor.Z.passes = products
+
+    monkeypatch.setattr(BoundFactor, "__init__", counting)
+    return products
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One PASS/FAIL line per acceptance criterion, printed after the run."""
     results = {}

@@ -164,8 +164,7 @@ def test_criterion_04_surrogate_convexity_and_certificate():
         rule = build_rule(cavity)
         mu, sigma = cavity.mean, np.sqrt(cavity.variance)
         z = (rule.points - mu) / sigma
-        zrule = QuadratureRule(points=z, weights=rule.weights, gamma=rule.gamma,
-                               offsets=np.full(cavity.dim, rule.gamma))
+        zrule = QuadratureRule(points=z, weights=rule.weights, gamma=rule.gamma)
         logf = factor.log_value_many(rule.points)
         shift = float(np.max(logf))
         F = np.exp(logf - shift)

@@ -306,7 +306,8 @@ def powell_line(objective, z, loss, prior, theta, direction, f0):
     """schemes._line_minimize as Powell calls it: the prior is the quadratic, beta = 1."""
     c1 = float(theta @ direction) / prior.variance
     c2 = float(direction @ direction) / (2.0 * prior.variance)
-    return _line_minimize(objective, z, loss_kinks(loss), theta, direction, f0, c1, c2, 1.0)
+    return _line_minimize(objective, z, loss_kinks(loss), theta, z @ theta, direction, f0,
+                          c1, c2, 1.0)
 
 
 class TestLineMinimizer:

@@ -70,6 +70,9 @@ class FailingFactor:
     def log_value_many(self, thetas):
         return np.full(len(thetas), -np.inf)
 
+    def log_value_axes(self, center, offsets):
+        return -np.inf, np.full(center.size, -np.inf), np.full(center.size, -np.inf)
+
     def log_grad_hessdiag(self, theta):
         d = len(theta)
         return np.full(d, np.nan), np.full(d, np.nan)
@@ -92,8 +95,11 @@ class DeadSpokeFactor:
     """A unit factor that vanishes right of 0.5, where a unit cavity at 0
     puts the sigma-point rule's + spoke and no other point."""
 
-    def log_value_many(self, thetas):
-        return np.where(thetas[:, 0] > 0.5, -np.inf, 0.0)
+    def log_value_axes(self, center, offsets):
+        def log_f(points):
+            return np.where(points > 0.5, -np.inf, 0.0)
+
+        return float(log_f(center[0])), log_f(center + offsets), log_f(center - offsets)
 
 
 class TestEpConfig:

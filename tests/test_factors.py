@@ -12,6 +12,7 @@ from ffep.factors import (
 from ffep.gaussian import DiagGaussian, eval_log
 from ffep.ingest import Dataset, partition
 from ffep.losses import hinge, logistic, loss_derivatives, loss_value, quasi01
+from ffep.schemes import build_rule
 
 
 def log_factor(factor, theta):
@@ -268,6 +269,80 @@ class TestKeptMargins:
         assert margin_passes == []  # still the point log_value scored
         factor.log_grad_hessdiag(thetas[1])
         assert len(margin_passes) == 1
+
+
+def random_cavity(rng, d):
+    return DiagGaussian.from_mean_var(rng.normal(size=d), np.exp(rng.uniform(-1.5, 1.5, size=d)))
+
+
+def with_zero_column(ds):
+    """The dataset with its second feature column set to zero."""
+    features = ds.features.copy()
+    features[:, 1] = 0.0
+    return Dataset(features=features, labels=ds.labels)
+
+
+def assert_axes_match_rule(factor, cavity, scale):
+    """log_value_axes at the cavity mean and gamma*sigma agrees with
+    log_value_many at the sigma-point rule's 2d+1 points, to 1e-12 of
+    ``scale`` (the size of the sums the values are made of)."""
+    rule = build_rule(cavity)
+    d = cavity.dim
+    logf = factor.log_value_many(rule.points)
+    l0, lp, lm = factor.log_value_axes(cavity.mean, rule.gamma * np.sqrt(cavity.variance))
+    assert lp.shape == lm.shape == (d,)
+    np.testing.assert_allclose(np.concatenate(([l0], lp, lm)), logf, rtol=1e-12,
+                               atol=1e-12 * scale)
+
+
+class TestLogValueAxes:
+    """The 2d+1 log-values vq reads: the center and one +/- spoke per axis."""
+
+    @pytest.mark.parametrize("loss", KEPT_LOSSES, ids=lambda k: k.name)
+    @pytest.mark.parametrize("beta", [1.0, 50.0])
+    def test_matches_the_rule_points(self, loss, beta):
+        rng = np.random.default_rng(20)
+        wide = toy_dataset(rng, n=12, d=5)
+        zero_column = with_zero_column(toy_dataset(rng, n=7, d=3))
+        cases = [(wide, batch) for batch in partition(wide, 5)]  # the last has 2 rows
+        cases += [(wide, np.array([3])),  # s = 1
+                  (toy_dataset(rng, n=6, d=1), np.arange(6)),  # d = 1
+                  (zero_column, np.arange(7))]
+        for ds, batch in cases:
+            factor = BoundFactor(ds, batch, loss, beta=beta)
+            cavity = random_cavity(rng, ds.dim)
+            scale = beta * (len(batch) + np.abs(factor.Z).sum() * (
+                np.abs(cavity.mean).max() + 3.0 * np.sqrt(cavity.variance).max()))
+            assert_axes_match_rule(factor, cavity, scale)
+
+    def test_a_zero_column_moves_no_margin(self):
+        ds = with_zero_column(toy_dataset(np.random.default_rng(21), n=7, d=3))
+        factor = BoundFactor(ds, np.arange(7), logistic())
+        l0, lp, lm = factor.log_value_axes(np.array([0.2, -0.4, 0.9]), np.array([1.0, 2.0, 0.5]))
+        assert lp[1] == lm[1] == l0
+
+    def test_gaussian_closed_form_matches_the_rule_points(self):
+        rng = np.random.default_rng(22)
+        for d in (1, 3, 8):
+            for _ in range(10):
+                cavity = random_cavity(rng, d)
+                g = DiagGaussian.from_mean_var(rng.normal(size=d),
+                                               np.exp(rng.uniform(-1.0, 1.0, size=d)),
+                                               log_mass=float(rng.uniform(-1.0, 1.0)))
+                logf = GaussianFactor(g).log_value_many(build_rule(cavity).points)
+                assert_axes_match_rule(GaussianFactor(g), cavity, np.abs(logf).max())
+
+    def test_keeps_nothing(self, margin_passes):
+        ds = toy_dataset(np.random.default_rng(23))
+        factor = BoundFactor(ds, np.arange(12), logistic())
+        point = np.array([0.3, -1.2, 0.7])
+        factor.log_value(point)
+        scored = factor._scored
+        factor.log_value_axes(point, np.ones(3))
+        assert factor._scored is scored
+        del margin_passes[:]
+        factor.log_grad_hessdiag(point)
+        assert margin_passes == []  # still the point log_value scored
 
 
 class TestSignedRows:

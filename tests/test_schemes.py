@@ -550,9 +550,9 @@ class TestLaplaceExactLineSearch:
         """(theta, direction, f0, moved, f) of every line la searches."""
         calls = []
 
-        def recording(objective, Z, kinks, theta, direction, f0, c1, c2, beta,
+        def recording(objective, Z, kinks, theta, a, direction, f0, c1, c2, beta,
                       real=schemes._line_minimize):
-            moved, f = real(objective, Z, kinks, theta, direction, f0, c1, c2, beta)
+            moved, f = real(objective, Z, kinks, theta, a, direction, f0, c1, c2, beta)
             calls.append((theta, direction, f0, moved, f))
             return moved, f
 
@@ -953,6 +953,32 @@ class TestLaplaceOnSynthetic306:
         assert sum(len(v["log_grad_hessdiag"]) for v in visits) == gradients
         assert len(margin_passes) == log_values  # 1,630 and 676 when derivatives re-formed them
 
+    def test_quasi01_line_searches_read_the_kept_margins(self, synthetic_dataset, monkeypatch,
+                                                        row_products):
+        """Each of the 305 exact line searches starts from the point log_value
+        scored last, so it forms Z @ direction alone: the run forms margins
+        at 371 points, one pass per point scored, and 676 when each search
+        formed Z @ theta again."""
+        scored, searches = [], []
+        log_value, line_minimize = BoundFactor.log_value, schemes._line_minimize
+
+        def scoring(factor, theta):
+            scored.append(theta.tobytes())
+            return log_value(factor, theta)
+
+        def searching(objective, Z, kinks, theta, a, direction, *rest):
+            searches.append(direction.tobytes())
+            return line_minimize(objective, Z, kinks, theta, a, direction, *rest)
+
+        monkeypatch.setattr(BoundFactor, "log_value", scoring)
+        monkeypatch.setattr(schemes, "_line_minimize", searching)
+        cfg = EpConfig(scheme=SchemeKind("la"), loss=quasi01(), batch_size=10)
+        ep_run(cfg, synthetic_dataset)
+        assert len(searches) == 305
+        points = set(scored)
+        assert len([v for v in row_products if v in points]) == len(scored) == 371
+        assert sorted(v for v in row_products if v not in points) == sorted(searches)
+
     def test_logistic_posterior_is_unchanged(self, synthetic_dataset):
         cfg = EpConfig(scheme=SchemeKind("la"), loss=logistic(), batch_size=10)
         state, _ = ep_run(cfg, synthetic_dataset)
@@ -1290,8 +1316,7 @@ class TestVariationalQuadrature:
         shift = float(np.max(logf))
         sigma = np.sqrt(cavity.variance)
         z = rule.points / sigma  # the cavity mean is zero
-        zrule = QuadratureRule(points=z, weights=rule.weights, gamma=rule.gamma,
-                               offsets=np.full(cavity.dim, rule.gamma))
+        zrule = QuadratureRule(points=z, weights=rule.weights, gamma=rule.gamma)
         F = np.exp(logf - shift)
         # log g - shift = c0 + b.z + a.z^2 with b = sigma*linear, a = sigma^2*nhp
         alpha = np.concatenate([[msg.log_scale - shift],
@@ -1319,17 +1344,45 @@ class TestVariationalQuadrature:
                             (vq.neg_half_precision, qla.neg_half_precision)]:
             np.testing.assert_allclose(got, expect, rtol=0.1 * gamma**2, atol=0.0)
 
+    @pytest.mark.parametrize("loss, counts", [
+        (logistic(), (31, 0, 0)), (hinge(), (31, 0, 0)), (quasi01(), (0, 31, 0)),
+    ], ids=lambda v: getattr(v, "name", ""))
+    def test_runs_without_the_sigma_point_rule(self, synthetic_dataset, monkeypatch,
+                                               loss, counts):
+        """vq reads its 2d+1 values through log_value_axes alone, forming no
+        (2d+1, d) point stack, and every sweep's status counts stay as the
+        golden runs froze them."""
+        def unused(*args):
+            raise AssertionError("vq evaluated the factor at the rule's points")
+
+        monkeypatch.setattr(schemes, "build_rule", unused)
+        monkeypatch.setattr(BoundFactor, "log_value_many", unused)
+        for mode, sweeps in (("looping", 5), ("streaming", 1)):
+            cfg = EpConfig(scheme=SchemeKind("vq"), loss=loss, mode=mode)
+            _, trace = ep_run(cfg, synthetic_dataset)
+            assert [(s.applied, s.rejected, s.scheme_failed)
+                    for s in trace.sweeps] == [counts] * sweeps
+
     def test_vanishing_factor_raises_scheme_failure(self):
         class ZeroFactor:
-            def log_value(self, theta):
-                return -np.inf
-
-            def log_value_many(self, thetas):
-                return np.full(len(thetas), -np.inf)
+            def log_value_axes(self, center, offsets):
+                return -np.inf, np.full(center.size, -np.inf), np.full(center.size, -np.inf)
 
         cavity = DiagGaussian.from_mean_var([0.0], [1.0])
-        with pytest.raises(SchemeFailure):
+        with pytest.raises(SchemeFailure, match="factor vanishes"):
             approx_variational_quadrature(cavity, ZeroFactor())
+
+    @pytest.mark.parametrize("l_plus, l_minus", [
+        ([0.0, np.nan], [0.0, 0.0]), ([0.0, 0.0], [np.inf, 0.0]),
+    ], ids=["nan-spoke", "inf-spoke"])
+    def test_undefined_spoke_raises_scheme_failure(self, l_plus, l_minus):
+        class SpokeFactor:
+            def log_value_axes(self, center, offsets):
+                return 0.0, np.array(l_plus), np.array(l_minus)
+
+        cavity = DiagGaussian.from_mean_var([0.0, 1.0], [1.0, 2.0])
+        with pytest.raises(SchemeFailure, match="factor vanishes"):
+            approx_variational_quadrature(cavity, SpokeFactor())
 
 
 class TestKlDiagnostic:
