@@ -39,7 +39,7 @@ SCHEMA = ColumnSchema(label="status", label_map={"1": 1, "2": -1},
 def main():
     dataset = preprocess(load_csv(bundled_synthetic_path(), SCHEMA),
                          name="synthetic")
-    n, d = dataset.features.shape
+    n, d = dataset.n_examples, dataset.dim
     print(f"dataset: {n} examples, {d} columns (features + baseline)\n")
 
     losses = (logistic(), hinge(), quasi01(0.1))

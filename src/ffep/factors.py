@@ -69,9 +69,10 @@ class BoundFactor:
     and its spokes, and ``log_grad_hessdiag`` for the Laplace-style schemes.
     ``loss``, ``beta``, ``Z`` (rows y_k * x_k) and ``margins`` are its
     margin-space view: log f(theta) = -beta * sum of loss(Z @ theta), for
-    schemes that solve in margin space.  ``Z`` is read
-    from the dataset's ``signed_rows``: a view of them when ``batch`` is a
-    contiguous range, as ``partition`` makes it, and a copy otherwise.
+    schemes that solve in margin space.  ``Z`` is read from the dataset's
+    ``signed_rows``, the one table a dataset holds: a view of them when
+    ``batch`` is a contiguous range, as ``partition`` makes it, and a copy
+    otherwise.
     """
 
     def __init__(self, dataset, batch, loss: LossKind, beta: float = 1.0):

@@ -7,6 +7,11 @@ unit Euclidean norm, a constant baseline column of ones is appended as the
 last coordinate (never normalized), and labels are mapped to {-1, +1}.
 ``partition`` finally splits example indices into mini-batches.
 
+A ``Dataset`` holds its examples once, as the signed rows y_k * x_k that
+every margin reads.  ``load_csv`` holds the parsed block and one copy of
+its numeric columns; ``preprocess`` holds those columns and the one table
+it builds in place.  Neither step holds a third table.
+
 Conventions:
 
 * categorical columns are one-hot expanded, one indicator per observed
@@ -31,7 +36,6 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -90,43 +94,67 @@ class RawTable:
     n_dropped: int = 0
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Preprocessed examples; the last feature column is the baseline of ones."""
+def _signs(labels, n_rows: int) -> np.ndarray:
+    """The labels as a float (N,) array, one per row, each -1 or +1."""
+    y = np.asarray(labels, dtype=float).reshape(-1)
+    if y.size != n_rows:
+        raise ValueError("features must be (N, d) with one label per row")
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValueError("labels must be -1 or +1")
+    return y
 
-    features: np.ndarray  # (N, d)
+
+@dataclass(frozen=True, init=False)
+class Dataset:
+    """Preprocessed examples; the last feature column is the baseline of ones.
+
+    The examples are held once, as the read-only signed rows y_k * x_k:
+    every margin y_k * theta.x_k is ``signed_rows @ theta``, so the
+    factors' ``Z``, the trace's costs and the references all read this one
+    table.  ``features`` is formed from it on demand, exactly, since every
+    label is -1 or +1; the constructor keeps no copy of the features it is
+    given.
+    """
+
+    signed_rows: np.ndarray  # (N, d) rows y_k * x_k
     labels: np.ndarray  # (N,) in {-1, +1}
     feature_names: tuple = ()
     name: str = "dataset"
 
-    def __post_init__(self):
-        X = np.asarray(self.features, dtype=float)
-        y = np.asarray(self.labels, dtype=float).reshape(-1)
-        if X.ndim != 2 or X.shape[0] != y.size:
+    def __init__(self, features, labels, feature_names=(), name="dataset"):
+        X = np.asarray(features, dtype=float)
+        if X.ndim != 2:
             raise ValueError("features must be (N, d) with one label per row")
-        if not np.all(np.isin(y, (-1.0, 1.0))):
-            raise ValueError("labels must be -1 or +1")
-        object.__setattr__(self, "features", X)
-        object.__setattr__(self, "labels", y)
+        y = _signs(labels, X.shape[0])
+        self._hold(y[:, None] * X, y, feature_names, name)
 
-    @cached_property
-    def signed_rows(self) -> np.ndarray:
-        """The rows y_k * x_k, (N, d), formed once at first use and read-only.
+    @classmethod
+    def _signed(cls, signed_rows, labels, feature_names, name) -> Dataset:
+        """A dataset holding ``signed_rows`` itself, uncopied; the labels
+        must already be checked by ``_signs``."""
+        dataset = cls.__new__(cls)
+        dataset._hold(signed_rows, labels, feature_names, name)
+        return dataset
 
-        Every margin y_k * theta.x_k is signed_rows @ theta: the factors'
-        ``Z``, the trace's costs and the references all read this table.
-        """
-        rows = self.labels[:, None] * self.features
-        rows.flags.writeable = False
-        return rows
+    def _hold(self, signed_rows, labels, feature_names, name):
+        signed_rows.flags.writeable = False
+        object.__setattr__(self, "signed_rows", signed_rows)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "feature_names", feature_names)
+        object.__setattr__(self, "name", name)
+
+    @property
+    def features(self) -> np.ndarray:
+        """The rows x_k, (N, d): a new array on every call."""
+        return self.labels[:, None] * self.signed_rows
 
     @property
     def n_examples(self) -> int:
-        return self.features.shape[0]
+        return self.signed_rows.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return self.signed_rows.shape[1]
 
 
 def _resolve(col, names, row_len, where):
@@ -201,8 +229,8 @@ def _load_block(path, schema: ColumnSchema) -> RawTable:
         skiprows=header_lines if schema.has_header else 0,
         converters={label_i: lambda tok: label_map[tok.strip()]},
     )
-    columns = np.ascontiguousarray(block[:, numeric])
-    if not np.isfinite(columns).all():
+    columns = block.take(numeric, axis=1)  # one C-ordered copy
+    if not np.isfinite((columns.min(), columns.max())).all():  # NaN propagates
         raise ValueError("non-finite numeric value")
     return RawTable(
         columns=columns,
@@ -293,32 +321,40 @@ def _load_rows(path, schema: ColumnSchema) -> RawTable:
 
 
 def preprocess(table: RawTable, name: str = "dataset") -> Dataset:
-    """Center and unit-norm every feature column, then append the baseline.
+    """Center and unit-norm every feature column, append the baseline, and
+    sign every row by its label.
+
+    The dataset's one table is allocated once and built in place: the
+    centered columns are squared in it for their norms, centered again,
+    scaled, and multiplied by the labels.  Every value is the one
+    ``y * column_stack(((columns - mean) / norm, 1))`` gives, bit for bit.
 
     Raises DataLoadError on a table with fewer than 2 rows or no feature,
     and on a column that overflows float64 while being centered and scaled
     (values near 1e308, or a norm beyond it): dividing by its non-finite
     norm would leave it NaN or silently zero.
     """
-    X = np.asarray(table.columns, dtype=float)
-    if X.shape[0] < 2 or X.shape[1] < 1:
+    columns = np.asarray(table.columns, dtype=float)
+    n, d = columns.shape
+    if n < 2 or d < 1:
         raise DataLoadError(f"{name}: need at least 2 usable rows and 1 feature, "
-                            f"not {X.shape[0]} and {X.shape[1]}")
+                            f"not {n} and {d}")
+    labels = _signs(table.labels, n)
+    rows = np.empty((n, d + 1))
+    body = rows[:, :d]
     with np.errstate(over="ignore", invalid="ignore"):
-        X = X - X.mean(axis=0)
-        norms = np.linalg.norm(X, axis=0)
+        mean = columns.mean(axis=0)
+        np.subtract(columns, mean, out=body)
+        np.multiply(body, body, out=body)
+        norms = np.sqrt(np.add.reduce(body, axis=0))  # as np.linalg.norm sums them
     if not np.isfinite(norms).all():
         column = table.column_names[int(np.argmin(np.isfinite(norms)))]
         raise DataLoadError(f"{name}: column {column!r} overflows when centered and scaled")
-    nonzero = norms > 0
-    X[:, nonzero] /= norms[nonzero]
-    X = np.column_stack([X, np.ones(X.shape[0])])
-    return Dataset(
-        features=X,
-        labels=table.labels,
-        feature_names=tuple(table.column_names) + ("baseline",),
-        name=name,
-    )
+    np.subtract(columns, mean, out=body)
+    np.divide(body, norms, out=body, where=norms > 0)
+    rows[:, d] = 1.0
+    rows *= labels[:, None]
+    return Dataset._signed(rows, labels, tuple(table.column_names) + ("baseline",), name)
 
 
 def partition(dataset: Dataset, s: int) -> list[np.ndarray]:

@@ -204,6 +204,36 @@ class TestPreprocess:
             preprocess(table)
 
 
+def stacked_features(columns):
+    """The reference features: centered columns, the nonzero ones divided by
+    their norms, and the baseline stacked on as a new column."""
+    X = columns - columns.mean(axis=0)
+    norms = np.linalg.norm(X, axis=0)
+    nonzero = norms > 0
+    X[:, nonzero] /= norms[nonzero]
+    return np.column_stack([X, np.ones(X.shape[0])])
+
+
+class TestPreprocessBits:
+    """The in-place table against the column_stack formula, bit for bit."""
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["varying", "constant"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    @pytest.mark.parametrize("d", [1, 2, 17])
+    @pytest.mark.parametrize("n", [2, 3, 7, 1025, 3000])
+    def test_signed_rows_match_the_stacked_formula(self, n, d, scale, constant):
+        rng = np.random.default_rng(1000 * n + d)
+        columns = rng.normal(size=(n, d)) * scale + 3.0 * scale
+        if constant:
+            columns[:, 0] = 4.0  # centers to exact zeros: a zero norm
+        labels = rng.choice([-1.0, 1.0], size=n)
+        ds = preprocess(ingest.RawTable(columns=columns, column_names=tuple(map(str, range(d))),
+                                        labels=labels))
+        features = stacked_features(columns)
+        assert ds.signed_rows.tobytes() == (labels[:, None] * features).tobytes()
+        assert ds.features.tobytes() == features.tobytes()
+
+
 class TestPartition:
     def make_dataset(self, n):
         return Dataset(features=np.ones((n, 2)), labels=np.ones(n))
@@ -246,6 +276,15 @@ class TestDatasetType:
     def test_shape_validated(self):
         with pytest.raises(ValueError):
             Dataset(features=np.ones((2, 1)), labels=np.ones(3))
+
+    def test_holds_signed_rows_only(self):
+        X = np.array([[1.5, -0.0], [0.0, 2.0], [-3.0, 1.0]])
+        ds = Dataset(X, labels=[1, -1, -1])
+        assert ds.signed_rows.tobytes() == (np.array([[1.0], [-1.0], [-1.0]]) * X).tobytes()
+        assert not ds.signed_rows.flags.writeable
+        assert not np.shares_memory(ds.signed_rows, X)
+        assert ds.features.tobytes() == X.tobytes()  # the sign of each zero too
+        assert (ds.n_examples, ds.dim) == X.shape
 
 
 class TestBundledSynthetic:
